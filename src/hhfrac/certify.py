@@ -487,9 +487,10 @@ def _folded_derivative_integral(
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
     def dsamp(xs, ys):
-        return np.asarray(
+        # A function of one variable gives a (n, 1), (1, n) or scalar partial.
+        return np.broadcast_to(np.asarray(
             mixed_partial(fv, xs[:, None], ys[None, :], fd, rect), dtype=float
-        )
+        ), (xs.size, ys.size))
 
     scale = 0.25 * rect.x.width * rect.y.width
     results = []

@@ -493,6 +493,8 @@ def _cmd_check(args) -> int:
     for required in ("f", "h", "rect"):
         if getattr(args, required) is None:
             raise UsageError(f"--{required} is required")
+    if int(args.grid) < 3:
+        raise UsageError(f"--grid must be >= 3, got {args.grid}")
     try:
         rect = _rect(args)
         f = parse_function_spec(args.f)

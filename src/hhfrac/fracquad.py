@@ -182,10 +182,18 @@ def _sample_1d(f: Callable, ts: np.ndarray) -> np.ndarray:
 
 
 def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """f on the grid xs x ys.  A scalar or 2D result that broadcasts to the
+    grid (a function of one variable gives (n, 1) or (1, n)) is expanded to
+    a contiguous copy, so the quadrature sums run in the same order as for
+    any other f; callables that reject arrays or return another shape are
+    called per point."""
+    shape = (xs.size, ys.size)
     try:
         vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-        if vals.shape != (xs.size, ys.size):
-            raise ValueError
+        if vals.shape != shape:
+            if vals.ndim not in (0, 2):
+                raise ValueError
+            vals = np.broadcast_to(vals, shape).copy()
     except (TypeError, ValueError):
         vals = np.array([[float(f(float(x), float(y))) for y in ys] for x in xs])
     bad = ~np.isfinite(vals)

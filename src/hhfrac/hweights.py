@@ -11,6 +11,13 @@ rectangle.  h(t) = t recovers plain coordinate convexity, h(t) = t^s the
 s-convex case, h == 1 the P-functions, and h(t) = 1/t the Godunova-Levin
 class.  The certifier samples the inequality on a product grid and reports a
 pass as "no violation found", never as a proof.
+
+The inequality is unchanged under (t, x, y) -> (1-t, y, x) and under
+(k, u, w) -> (1-k, w, u), and the t grid is symmetric, so the certifier
+evaluates only the pairs x <= y and u <= w and still covers every sampled
+configuration; ``samples_checked`` counts the configurations covered.  Its
+sweep runs in blocks of a fixed byte size, so memory stays bounded at any
+grid.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .fracquad import Rectangle
+from .fracquad import Rectangle, _sample_2d
 
 __all__ = [
     "HFamily",
@@ -181,14 +188,21 @@ def parse_hweight(text: str) -> HWeight:
 # sampled certifier
 # ---------------------------------------------------------------------------
 
+#: Size bound of one float64 block of the certifier's sweep.  A few blocks
+#: are alive at once (the left side, the right side, the two gathered halves
+#: and the evaluator's temporaries), so peak memory is a small multiple of it
+#: at any grid.
+_BLOCK_BYTES = 1 << 18
+
+
 @dataclass(frozen=True)
 class ConvexityCertificate:
     """Outcome of the sampled coordinate h-convexity check.
 
-    ``witness`` is ``(t, k, (x, u), (y, w))`` at the worst violation; the
-    deficit there, re-evaluated independently of the vectorized sweep, is
-    stored in ``witness_deficit``.  A pass only means no violation was found
-    among the sampled configurations.
+    ``witness`` is ``(t, k, (x, u), (y, w))`` at the worst violation, with
+    x <= y and u <= w; the deficit there, re-evaluated independently of the
+    vectorized sweep, is stored in ``witness_deficit``.  A pass only means no
+    violation was found among the sampled configurations.
     """
 
     verdict: str  # "pass" | "fail"
@@ -241,6 +255,15 @@ def check_coordinate_h_convex(
     default tolerance is ``1e-10 * (1 + max sampled |f|)``, pure rounding
     headroom.  Requires f >= 0 on the sampled grid when asserting h-convexity
     for a family other than the identity.
+
+    Only abscissa pairs x <= y and ordinate pairs u <= w (by grid index) are
+    evaluated: the inequality is unchanged under (t, x, y) -> (1-t, y, x) and
+    (k, u, w) -> (1-k, w, u), and the t grid is symmetric, so these cover
+    every configuration and the witness of a fail has that canonical order.
+    ``samples_checked`` counts the configurations covered, ``len(t)^2 *
+    grid^4``; f is evaluated at ``len(t)^2 * (grid(grid+1)/2)^2`` combination
+    points.  The sweep works in blocks of at most ``_BLOCK_BYTES`` per array,
+    so its memory does not grow with the grid.
     """
     if grid < 3:
         raise DomainError(f"grid must be >= 3, got {grid}")
@@ -254,12 +277,7 @@ def check_coordinate_h_convex(
     if not h.finite_at_endpoints:
         tg = tg[1:-1]
 
-    F = np.asarray(ev(xg[:, None], yg[None, :]), dtype=float)
-    if F.shape != (g, g):
-        F = np.array([[float(ev(float(x), float(y))) for y in yg] for x in xg])
-    if not np.isfinite(F).all():
-        i, j = np.argwhere(~np.isfinite(F))[0]
-        raise EvaluationError(f"f is not finite at (x={xg[i]!r}, y={yg[j]!r})")
+    F = _sample_2d(ev, xg, yg)
     if direction == "convex" and h.family is not HFamily.IDENTITY and F.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(F)), F.shape)
         raise DomainError(
@@ -270,29 +288,50 @@ def check_coordinate_h_convex(
     ht = h_eval(h, tg)
     hmt = ht[::-1]  # the grid is symmetric, so h(1 - t_i) = h(t_{n-1-i}) exactly
 
-    # Combination ordinates k*u + (1-k)*w for every (k, j1, j2); shared by all t.
-    Y = tg[:, None, None] * yg[None, :, None] + (1.0 - tg)[:, None, None] * yg[None, None, :]
+    i1, i2 = np.triu_indices(g)  # index pairs i1 <= i2, for both axes
+    npair = i1.size
+    xa, xb = xg[i1], xg[i2]
+    # Combination ordinates k*u + (1-k)*w for every (k, ordinate pair).
+    Y = tg[:, None] * yg[i1] + (1.0 - tg)[:, None] * yg[i2]
+    # Blocks are (k, abscissa pair, ordinate pair); split k first, then the
+    # abscissa pairs once a single k-slice exceeds the budget.
+    per_pair = npair * 8
+    pc = min(npair, max(1, _BLOCK_BYTES // per_pair))
+    kc = max(1, _BLOCK_BYTES // (pc * per_pair))
 
     max_abs_f = float(np.abs(F).max())
     worst = -math.inf
     worst_idx = None
-    sign = -1.0 if direction == "concave" else 1.0
-    for it, t in enumerate(tg):
-        X = t * xg[:, None] + (1.0 - t) * xg[None, :]  # (i1, i2)
-        L = np.asarray(ev(X[None, :, :, None, None], Y[:, None, None, :, :]), dtype=float)
-        if not np.isfinite(L).all():
-            raise EvaluationError("f is not finite at a sampled combination point")
-        R = (ht[it] * ht[:, None, None, None, None] * F[None, :, None, :, None]
-             + ht[:, None, None, None, None] * hmt[it] * F[None, None, :, :, None]
-             + ht[it] * hmt[:, None, None, None, None] * F[None, :, None, None, :]
-             + hmt[it] * hmt[:, None, None, None, None] * F[None, None, :, None, :])
-        deficits = sign * (L - R)
-        max_abs_f = max(max_abs_f, float(np.abs(L).max()))
-        m = float(deficits.max())
-        if m > worst:
-            worst = m
-            ik, i1, i2, j1, j2 = np.unravel_index(int(np.argmax(deficits)), deficits.shape)
-            worst_idx = (it, ik, i1, i2, j1, j2)
+    for k0 in range(0, tg.size, kc):
+        ks = slice(k0, k0 + kc)
+        # Ordinate half of the right side, shared by every t:
+        # G[k, i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q].
+        G = ht[ks, None, None] * F[None, :, i1] + hmt[ks, None, None] * F[None, :, i2]
+        Yk = Y[ks, None, :]
+        for p0 in range(0, npair, pc):
+            ps = slice(p0, p0 + pc)
+            G1, G2 = G[:, i1[ps], :], G[:, i2[ps], :]
+            for it, t in enumerate(tg):
+                X = t * xa[ps] + (1.0 - t) * xb[ps]
+                L = np.asarray(ev(X[None, :, None], Yk), dtype=float)
+                lo, hi = float(L.min()), float(L.max())  # NaN propagates
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise EvaluationError("f is not finite at a sampled combination point")
+                max_abs_f = max(max_abs_f, -lo, hi)
+                D = ht[it] * G1
+                D += hmt[it] * G2
+                if direction == "concave":
+                    np.subtract(D, L, out=D)
+                else:
+                    np.subtract(L, D, out=D)
+                m = float(D.max())
+                if m >= worst:
+                    ik, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
+                    idx = (it, k0 + int(ik), p0 + int(ip), int(iq))
+                    # Ties go to the first configuration in (t, k, pair,
+                    # pair) order, so the witness does not depend on blocks.
+                    if worst_idx is None or m > worst or idx < worst_idx:
+                        worst, worst_idx = m, idx
 
     if tol is None:
         tol = 1e-10 * (1.0 + max_abs_f)
@@ -305,9 +344,9 @@ def check_coordinate_h_convex(
             message=(f"no violation found on {samples} sampled configurations "
                      f"(grid {g} per axis); sampled check only, not a proof"),
         )
-    it, ik, i1, i2, j1, j2 = worst_idx
+    it, ik, p, q = worst_idx
     witness = (float(tg[it]), float(tg[ik]),
-               (float(xg[i1]), float(yg[j1])), (float(xg[i2]), float(yg[j2])))
+               (float(xg[i1[p]]), float(yg[i1[q]])), (float(xg[i2[p]]), float(yg[i2[q]])))
     recheck = inequality_deficit(f, h, witness[0], witness[1], witness[2], witness[3],
                                  direction)
     return ConvexityCertificate(

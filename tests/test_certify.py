@@ -350,6 +350,14 @@ class TestLemma1Residual:
         rep = lemma1_residual(EXPSUM, FracOrder(1.5, 2.0), OFF_SQ)
         assert rep.passed
 
+    @pytest.mark.parametrize("src", ["x^3", "y^2", "2"])
+    def test_function_of_one_variable(self, src):
+        # the mixed partial vanishes, and comes back as a (n, 1), (1, n) or
+        # scalar array
+        rep = lemma1_residual(parse_function_spec(src), FracOrder(0.5, 0.5), UNIT_SQ)
+        assert rep.rhs == 0.0
+        assert rep.passed
+
 
 class TestScalingCovariance:
     def test_verdicts_unchanged_under_affine_scaling(self):

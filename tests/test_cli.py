@@ -153,6 +153,13 @@ class TestCheckHConvexCommand:
         assert rep["result"]["verdict"] == "fail"
         assert rep["result"]["witness"] is not None
 
+    def test_grid_below_three_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check-hconvex", "--f", "x*y", "--h", "identity",
+            "--rect", "0", "1", "0", "1", "--grid", "2",
+        )
+        assert code == 2 and "--grid" in err
+
 
 class TestSweepCommand:
     BASE = ("sweep", "--theorem", "t4", "--f", "builtin:powersum:1",

@@ -212,6 +212,23 @@ class Test2D:
             frac_integral_2d(f, FracOrder(1.0, 1.0), Corner.LOWER_LOWER,
                              UNIT_SQ, (1.0, 1.0))
 
+    @pytest.mark.parametrize("one_var, two_var", [
+        (lambda x, y: x * x, lambda x, y: x * x + 0.0 * y),
+        (lambda x, y: np.exp(y), lambda x, y: np.exp(y) + 0.0 * x),
+        (lambda x, y: 3.0, lambda x, y: 3.0 + 0.0 * x * y),
+    ], ids=["x-only", "y-only", "constant"])
+    def test_broadcastable_result_is_one_call_per_level(self, one_var, two_var):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return one_var(x, y)
+
+        args = (FracOrder(0.5, 1.5), Corner.LOWER_UPPER, UNIT_SQ, (1.0, 0.0))
+        assert frac_integral_2d_with_estimate(f, *args) == \
+            frac_integral_2d_with_estimate(two_var, *args)
+        assert len(calls) == 2
+
     def test_estimate_present(self):
         _, est = frac_integral_2d_with_estimate(
             lambda x, y: np.exp(x + y), FracOrder(0.5, 1.5),

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hhfrac.errors import DomainError
+from hhfrac import hweights
+from hhfrac.errors import DomainError, EvaluationError
 from hhfrac.fracquad import Rectangle
 from hhfrac.funcspace import builtin_function, parse_function_spec
 from hhfrac.hweights import (
@@ -211,3 +213,131 @@ class TestCertifier:
         ora = coordinate_convex_deficit(lambda x, y: x * x + y * y, 0.3, 0.7,
                                         0.2, 0.9, 0.8, 0.1)
         assert lib == pytest.approx(ora, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the sampling kernel against a brute-force sweep of every configuration
+# ---------------------------------------------------------------------------
+
+_TABLE = ((0.0, 0.25), (0.5, 0.75), (1.0, 1.25))
+
+#: Each weight with an evaluation of its own, independent of ``h_eval``.
+WEIGHTS = {
+    "identity": (HWeight.identity(), lambda t: t),
+    "power:0.5": (HWeight.power(0.5), np.sqrt),
+    "one": (HWeight.one(), np.ones_like),
+    "gl": (HWeight.godunova_levin(), lambda t: 1.0 / t),
+    "table": (HWeight.from_table(_TABLE),
+              lambda t: np.interp(t, [p[0] for p in _TABLE], [p[1] for p in _TABLE])),
+}
+
+
+def brute_force_certificate(f, hf, g, finite_at_endpoints, direction):
+    """Worst deficit and default tolerance over all g^6 configurations
+    (t, k, x, y, u, w) of the unit-square grid, no symmetry used."""
+    xs = np.linspace(0.0, 1.0, g)
+    ts = xs if finite_at_endpoints else xs[1:-1]
+    T = ts[:, None, None, None, None, None]
+    K = ts[None, :, None, None, None, None]
+    X = xs[None, None, :, None, None, None]
+    Y = xs[None, None, None, :, None, None]
+    U = xs[None, None, None, None, :, None]
+    W = xs[None, None, None, None, None, :]
+    lhs = f(T * X + (1 - T) * Y, K * U + (1 - K) * W)
+    rhs = (hf(T) * hf(K) * f(X, U) + hf(K) * hf(1 - T) * f(Y, U)
+           + hf(T) * hf(1 - K) * f(X, W) + hf(1 - T) * hf(1 - K) * f(Y, W))
+    deficit = rhs - lhs if direction == "concave" else lhs - rhs
+    max_abs = max(np.abs(f(xs[:, None], xs[None, :])).max(), np.abs(lhs).max())
+    return float(deficit.max()), 1e-10 * (1.0 + float(max_abs))
+
+
+class TestCertifierKernel:
+    @pytest.mark.parametrize("g", [5, 7, 9])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    @pytest.mark.parametrize("src", ["exp(x+y)", "2+sin(5*x*y)", "x^2", "3"])
+    def test_matches_brute_force(self, src, weight, direction, g):
+        h, hf = WEIGHTS[weight]
+        f = parse_function_spec(src)
+        worst, tol = brute_force_certificate(f, hf, g, h.finite_at_endpoints, direction)
+        cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g, direction=direction)
+        assert cert.tol == pytest.approx(tol, rel=1e-12)
+        assert cert.passed == (worst <= tol)
+        if cert.passed:
+            assert cert.worst_violation == 0.0 and cert.witness is None
+            return
+        assert cert.worst_violation == pytest.approx(worst, abs=1e-12)
+        t, k, (x, u), (y, w) = cert.witness
+        assert x <= y and u <= w
+        assert inequality_deficit(f, h, t, k, (x, u), (y, w), direction) > cert.tol
+
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    def test_negative_combination_values_set_the_tolerance(self, direction):
+        # f vanishes on the grid abscissas and reaches -1 between them, so
+        # only the left sides' minimum carries max |f|
+        f = parse_function_spec("0-sin(4*3.141592653589793*x)^2")
+        worst, tol = brute_force_certificate(f, lambda t: t, 5, True, direction)
+        cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5,
+                                         direction=direction)
+        assert tol == pytest.approx(2e-10, rel=1e-12)
+        assert cert.tol == pytest.approx(tol, rel=1e-12)
+        assert cert.passed == (worst <= tol)
+
+    @pytest.mark.parametrize("budget", [8, 7 * 45 * 8, 4 * 45 * 45 * 8])
+    def test_blocks_do_not_change_the_result(self, monkeypatch, budget):
+        # grid 9 has 45 index pairs per axis: one pair per block, ragged
+        # blocks of 7 pairs, and ragged blocks of 4 k-slices
+        cases = [("x^2+y^2", HWeight.identity(), "concave"),  # many exact ties
+                 ("2+sin(5*x*y)", HWeight.power(0.5), "convex"),
+                 ("exp(x+y)", HWeight.godunova_levin(), "convex")]
+
+        def run():
+            return [check_coordinate_h_convex(parse_function_spec(src), h, UNIT_SQ,
+                                              grid=9, direction=d)
+                    for src, h, d in cases]
+
+        monkeypatch.setattr(hweights, "_BLOCK_BYTES", 1 << 40)
+        whole = run()
+        monkeypatch.setattr(hweights, "_BLOCK_BYTES", budget)
+        assert run() == whole
+
+    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()])
+    def test_evaluates_only_canonical_pairs(self, h):
+        g = 7
+        points = []
+
+        def f(x, y):
+            points.append(np.broadcast(x, y).size)
+            return np.exp(x + y)
+
+        cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g)
+        nt = g if h.finite_at_endpoints else g - 2
+        assert cert.passed and cert.samples_checked == nt**2 * g**4
+        assert points[0] == g * g  # the grid itself
+        assert sum(points[1:]) == nt**2 * (g * (g + 1) // 2) ** 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lo, hi, match", [
+        (0.1, 0.2, "combination point"),  # no grid abscissa lies in (0.1, 0.2)
+        (0.4, 0.6, r"not finite at \(x="),
+    ])
+    def test_non_finite_values_raise(self, bad, lo, hi, match):
+        def f(x, y):
+            return np.where((x > lo) & (x < hi), bad, x * y)
+
+        with pytest.raises(EvaluationError, match=match):
+            check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
+
+    def test_memory_is_bounded_by_the_block_budget(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(hweights, "_BLOCK_BYTES", budget)
+        f = parse_function_spec("exp(x+y)*sin(x*y)+x^3*y^2")
+        tracemalloc.start()
+        try:
+            cert = check_coordinate_h_convex(f, HWeight.power(0.5), UNIT_SQ, grid=25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.samples_checked == 25**6
+        # one float64 array over (k, x, y, u, w) alone would take 78 MB
+        assert peak < 8 * budget
