@@ -10,9 +10,7 @@ from .certify import (
     corollary_moment_c1,
     corollary_moment_c2,
     corollary_moment_c3,
-    h_moment_k1,
     h_moment_m,
-    h_moment_unit,
     lemma1_residual,
     middle_fractional_term,
     theorem1_chain,
@@ -62,7 +60,7 @@ from .hweights import (
     h_eval,
     parse_hweight,
 )
-from .special import SpecialValue, beta, beta_integral, gamma, log_gamma
+from .special import beta, gamma, log_gamma
 
 __version__ = "0.1.0"
 
@@ -72,13 +70,13 @@ __all__ = [
     "ExpressionError", "ExpressionSyntaxError", "FDSpec", "FracOrder",
     "HFamily", "HHFracError", "HWeight", "HolderExponents", "Interval",
     "LemmaReport", "OverflowDomainError", "QuadratureNonConvergenceError",
-    "QuadratureScheme", "QuadratureSpec", "Rectangle", "Side", "SpecialValue",
+    "QuadratureScheme", "QuadratureSpec", "Rectangle", "Side",
     "StepUnderflowError", "UnknownIdentifierError", "UsageError",
-    "a_term", "beta", "beta_integral", "builtin_function",
+    "a_term", "beta", "builtin_function",
     "check_coordinate_h_convex", "corollary_moment_c1", "corollary_moment_c2",
     "corollary_moment_c3", "evaluate", "format_expression",
-    "frac_integral_1d", "frac_integral_2d", "gamma", "h_eval", "h_moment_k1",
-    "h_moment_m", "h_moment_unit", "lemma1_residual", "log_gamma",
+    "frac_integral_1d", "frac_integral_2d", "gamma", "h_eval", "h_moment_m",
+    "lemma1_residual", "log_gamma",
     "middle_fractional_term", "mixed_partial", "parse_expression",
     "parse_function_spec", "parse_hweight", "theorem1_chain", "theorem4_chain",
     "theorem5_bound", "theorem6_bound",

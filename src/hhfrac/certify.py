@@ -7,12 +7,15 @@ Shorthand used throughout (rectangle [a, b] x [c, d], orders alpha, beta):
   scaled by Gamma(alpha+1) Gamma(beta+1) / (4 (b-a)^alpha (d-c)^beta).
 * ``a_term``: the correction A built from eight one-variable fractional
   integrals of the boundary sections f(a, .), f(b, .), f(., c), f(., d).
-* h-moments: M(h, g)  = int_0^1 t^(g-1) (h(t) + h(1-t)) dt,
-             K1(h, g) = int_0^1 (t^g + (1-t)^g) h(t) dt   (and its mirror),
-             U(h)     = int_0^1 h(t) dt                   (and its mirror).
-  All are computed by tanh-sinh quadrature for any weight; the corollary
-  functions provide the Beta-function closed forms for the power family, and
-  the two routes are cross-checked in the test suite.
+* h-moments: every weight integral the theorems use is one moment,
+  M(h, g) = int_0^1 t^(g-1) (h(t) + h(1-t)) dt, at a shifted order:
+      K1(h, g) = int_0^1 (t^g + (1-t)^g) h(t) dt = M(h, g + 1),
+      U(h)     = int_0^1 h(t) dt                 = M(h, 1) / 2,
+  because int (1-t)^g h(t) dt = int t^g h(1-t) dt; for the same reason the
+  mirrored forms with h(1-t) in place of h(t) equal the plain ones.
+  ``h_moment_m`` evaluates M in closed form for every weight family, with a
+  round-off bound as its error; the corollary functions are its power-family
+  cases.
 
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the
@@ -21,6 +24,7 @@ inequalities are exact in the limit, tolerance exists only for numerics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +40,10 @@ from .fracquad import (
     frac_integral_2d_with_estimate,
 )
 from .funcspace import BivariateFunction, FDSpec, mixed_partial
-from .hweights import HWeight, h_eval
-from .quadrature import check_two_level, power_weighted_rule, tanh_sinh_01
+from .hweights import HFamily, HWeight, h_eval, table_pieces
+from .quadrature import check_two_level, power_weighted_rule
 from .special import beta as beta_fn
-from .special import gamma
+from .special import beta_rel_error, gamma
 
 __all__ = [
     "ChainReport",
@@ -54,8 +58,6 @@ __all__ = [
     "a_term",
     "a_term_with_estimate",
     "h_moment_m",
-    "h_moment_k1",
-    "h_moment_unit",
     "corollary_moment_c1",
     "corollary_moment_c2",
     "corollary_moment_c3",
@@ -234,64 +236,72 @@ def a_term(f, order: FracOrder, rect: Rectangle,
 
 
 # ---------------------------------------------------------------------------
-# h-moment integrals (quadrature for arbitrary weights)
+# h-moments in closed form
 # ---------------------------------------------------------------------------
 
-def _require_convergent_moments(h: HWeight, what: str) -> None:
-    if h.moments_diverge:
-        raise DivergentMomentError(
-            f"{what} diverges for the {h.label} weight (1/t is not integrable at 0)"
-        )
+_EPS = 2.0**-52
+
+#: Multiple of ``eps`` in the round-off bound of a table moment, relative to
+#: the summed magnitude of its terms: each term carries the rounding of two
+#: powers, their difference, the piece coefficients and one division, and the
+#: terms are summed exactly.
+_TABLE_EPS_MULTIPLE = 8.0
+
+
+def _table_moment(h: HWeight, g: float) -> tuple[float, float]:
+    """M(h, g) for a piecewise-linear h, exact per piece.
+
+    On a piece h(t) = p + q t over [t0, t1]:
+    int t^(g-1) (p + q t) dt = p (t1^g - t0^g)/g + q (t1^(g+1) - t0^(g+1))/(g+1),
+    and h(1-t) is the piece (p+q) - q t over [1-t1, 1-t0].
+    """
+    terms = []
+    magnitude = 0.0
+    for t0, t1, p, q in table_pieces(h):
+        for lo, hi, c0, c1 in ((t0, t1, p, q), (1.0 - t1, 1.0 - t0, p + q, -q)):
+            lo_g, hi_g = lo**g, hi**g
+            terms.append(c0 * (hi_g - lo_g) / g)
+            terms.append(c1 * (hi * hi_g - lo * lo_g) / (g + 1.0))
+            magnitude += ((abs(c0) + abs(c1)) * (hi_g + lo_g) / g
+                          + abs(c1) * (hi * hi_g + lo * lo_g) / (g + 1.0))
+    return math.fsum(terms), _TABLE_EPS_MULTIPLE * _EPS * magnitude
 
 
 def h_moment_m(h: HWeight, order: float) -> tuple[float, float]:
-    """M(h, g) = int_0^1 t^(g-1) (h(t) + h(1-t)) dt, with error estimate."""
-    if not order > 0.0:
-        raise DomainError(f"moment order must be positive, got {order}")
-    _require_convergent_moments(h, f"M(h, {order})")
-    return tanh_sinh_01(
-        lambda t, omt: t ** (order - 1.0) * (h_eval(h, t) + h_eval(h, omt))
-    )
+    """M(h, g) = int_0^1 t^(g-1) (h(t) + h(1-t)) dt in closed form.
 
-
-def h_moment_k1(h: HWeight, order: float, mirror: bool = False) -> tuple[float, float]:
-    """K1(h, g) = int_0^1 (t^g + (1-t)^g) h(t) dt; ``mirror`` uses h(1-t).
-
-    The two agree mathematically (substitute t -> 1-t); both are computed so
-    the symmetric factorization of the bound kernels stays verifiable.
+    Returns ``(value, error)``, where ``error`` bounds the round-off of the
+    closed form.  Identity: 1/g; one: 2/g; power:s: corollary c1,
+    1/(g+s) + B(g, s+1); table: exact per piece.
     """
     if not order > 0.0:
         raise DomainError(f"moment order must be positive, got {order}")
-    _require_convergent_moments(h, f"K1(h, {order})")
-    if mirror:
-        return tanh_sinh_01(lambda t, omt: (t**order + omt**order) * h_eval(h, omt))
-    return tanh_sinh_01(lambda t, omt: (t**order + omt**order) * h_eval(h, t))
-
-
-def h_moment_unit(h: HWeight, mirror: bool = False) -> tuple[float, float]:
-    """U(h) = int_0^1 h(t) dt (or the mirrored int_0^1 h(1-t) dt)."""
-    _require_convergent_moments(h, "the unit moment of h")
-    if mirror:
-        return tanh_sinh_01(lambda t, omt: h_eval(h, omt) + 0.0 * t)
-    return tanh_sinh_01(lambda t, omt: h_eval(h, t) + 0.0 * t)
+    if h.moments_diverge:
+        raise DivergentMomentError(
+            f"M(h, {order}) diverges for the {h.label} weight (1/t is not integrable at 0)"
+        )
+    g = float(order)
+    if h.family is HFamily.IDENTITY:
+        return 1.0 / g, _EPS / g
+    if h.family is HFamily.CONSTANT_ONE:
+        return 2.0 / g, 2.0 * _EPS / g
+    if h.family is HFamily.POWER:
+        lead = 1.0 / (g + h.s)
+        b = beta_fn(g, h.s + 1.0)
+        return lead + b, _EPS * (2.0 * lead + b) + beta_rel_error(g, h.s + 1.0) * b
+    return _table_moment(h, g)
 
 
 def corollary_moment_c1(order: float, s: float) -> float:
     """Closed form of M(power(s), order): 1/(order+s) + B(order, s+1)."""
-    if not order > 0.0:
-        raise DomainError(f"order must be positive, got {order}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    return 1.0 / (order + s) + beta_fn(order, s + 1.0)
+    return h_moment_m(HWeight.power(s), order)[0]
 
 
 def corollary_moment_c2(order: float, s: float) -> float:
-    """Closed form of K1(power(s), order): 1/(order+s+1) + B(s+1, order+1)."""
+    """Closed form of K1(power(s), order) = M(power(s), order + 1) (B is symmetric)."""
     if not order > 0.0:
         raise DomainError(f"order must be positive, got {order}")
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    return 1.0 / (order + s + 1.0) + beta_fn(s + 1.0, order + 1.0)
+    return corollary_moment_c1(order + 1.0, s)
 
 
 def corollary_moment_c3(s: float) -> float:
@@ -393,27 +403,19 @@ def theorem5_bound(
 ) -> BoundReport:
     """Trapezoid-type bound for |d^2 f/dxdy| coordinate h-convex (asserted).
 
-    The bound kernel factorizes per axis into K1 moments; the corner
-    orientations pair h(t)/h(1-t) with the a/b side and h(k)/h(1-k) with the
-    c/d side.
+    rhs = (b-a)(d-c)/4 * K1(h, alpha) K1(h, beta) * (sum of |D| at the
+    corners), K1(h, g) = M(h, g+1).  The kernel factorizes per axis, and the
+    mirrored kernels of the b and d corners equal the plain ones (t -> 1-t).
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
-    k1a, e_k1a = h_moment_k1(h, order.alpha)
-    k1am, e_k1am = h_moment_k1(h, order.alpha, mirror=True)
-    k1b, e_k1b = h_moment_k1(h, order.beta)
-    k1bm, e_k1bm = h_moment_k1(h, order.beta, mirror=True)
-    d_ac, d_ad, d_bc, d_bd = _corner_derivatives(fv, rect, fd)
+    k1a, e_k1a = h_moment_m(h, order.alpha + 1.0)
+    k1b, e_k1b = h_moment_m(h, order.beta + 1.0)
+    d_sum = sum(_corner_derivatives(fv, rect, fd))
     scale = rect.x.width * rect.y.width / 4.0
-    rhs = scale * (d_ac * k1a * k1b + d_bc * k1am * k1b
-                   + d_ad * k1a * k1bm + d_bd * k1am * k1bm)
-    e_rhs = scale * (
-        d_ac * (e_k1a * k1b + k1a * e_k1b)
-        + d_bc * (e_k1am * k1b + k1am * e_k1b)
-        + d_ad * (e_k1a * k1bm + k1a * e_k1bm)
-        + d_bd * (e_k1am * k1bm + k1am * e_k1bm)
-    )
+    rhs = scale * k1a * k1b * d_sum
+    e_rhs = scale * d_sum * (e_k1a * k1b + k1a * e_k1b + e_k1a * e_k1b)
     qerr = e_lhs + e_rhs
     tol = max(abs_tol, 10.0 * qerr)
     slack = rhs - abs(lhs)
@@ -437,21 +439,19 @@ def theorem6_bound(
     """Hölder-type bound for |d^2 f/dxdy|^q coordinate h-convex (asserted).
 
     rhs = (b-a)(d-c) / ((alpha p + 1)(beta p + 1))^(1/p)
-          * (sum over corners |D|^q * U-moment product)^(1/q).
+          * (U(h)^2 * sum over corners |D|^q)^(1/q),  U(h) = M(h, 1)/2.
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
-    u, e_u = h_moment_unit(h)
-    um, e_um = h_moment_unit(h, mirror=True)
-    d_ac, d_ad, d_bc, d_bd = _corner_derivatives(fv, rect, fd)
+    m1, e_m1 = h_moment_m(h, 1.0)
+    u, e_u = 0.5 * m1, 0.5 * e_m1
     p, q = pq.p, pq.q
     prefactor = (rect.x.width * rect.y.width
                  / ((order.alpha * p + 1.0) * (order.beta * p + 1.0)) ** (1.0 / p))
-    s_sum = (d_ac**q * u * u + d_ad**q * u * um
-             + d_bc**q * um * u + d_bd**q * um * um)
-    e_sum = ((d_ac**q + d_ad**q + d_bc**q + d_bd**q)
-             * (e_u * max(u, um) + max(u, um) * e_um + e_u * e_um))
+    d_q = sum(d**q for d in _corner_derivatives(fv, rect, fd))
+    s_sum = u * u * d_q
+    e_sum = d_q * (2.0 * u * e_u + e_u * e_u)
     rhs = prefactor * s_sum ** (1.0 / q)
     e_rhs = 0.0
     if s_sum > 0.0:

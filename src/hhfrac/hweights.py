@@ -36,6 +36,7 @@ __all__ = [
     "HFamily",
     "HWeight",
     "h_eval",
+    "table_pieces",
     "ConvexityCertificate",
     "check_coordinate_h_convex",
     "inequality_deficit",
@@ -147,6 +148,26 @@ def h_eval(h: HWeight, t):
         hs = np.array([p[1] for p in h.table])
         out = np.interp(arr, ts, hs)
     return float(out) if np.isscalar(t) else out
+
+
+def table_pieces(h: HWeight) -> tuple[tuple[float, float, float, float], ...]:
+    """Pieces (t0, t1, p, q) with h(t) = p + q t on [t0, t1], covering [0, 1].
+
+    They extend the table exactly as :func:`h_eval` does: constant before the
+    first knot and after the last, as ``np.interp`` holds its end values.
+    """
+    if h.family is not HFamily.TABLE:
+        raise DomainError(f"{h.label} is not a table weight")
+    (first_t, first_h), (last_t, last_h) = h.table[0], h.table[-1]
+    pieces = []
+    if first_t > 0.0:
+        pieces.append((0.0, first_t, first_h, 0.0))
+    for (t0, h0), (t1, h1) in zip(h.table, h.table[1:]):
+        q = (h1 - h0) / (t1 - t0)
+        pieces.append((t0, t1, h0 - q * t0, q))
+    if last_t < 1.0:
+        pieces.append((last_t, 1.0, last_h, 0.0))
+    return tuple(pieces)
 
 
 def load_table(path: str) -> HWeight:

@@ -1,6 +1,6 @@
 """Shared quadrature engines.
 
-Three rules cover every integral in the package:
+Two rules cover every integral in the package:
 
 * Gauss-Legendre on [0, 1] (cached nodes).
 * Power-weighted rules for integrals of the form
@@ -9,9 +9,9 @@ Three rules cover every integral in the package:
   the polynomial ``v^(p*order - 1)``, so Gauss-Legendre in ``v`` converges
   spectrally for smooth ``g`` even when the kernel is weakly singular
   (``order < 1``) or has a fractional-power kink (non-integer ``order > 1``).
-* Tanh-sinh (double-exponential) quadrature on (0, 1) for integrands with
-  algebraic singularities at either endpoint, used for the h-moment
-  integrals whose weight functions are only known pointwise.
+
+The h-moment integrals need no rule: every weight family has a closed form
+(see :mod:`hhfrac.certify`).
 
 Error estimates are two-level refinement disagreements plus a round-off
 floor, so a reported estimate is never smaller than what double precision can
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -159,85 +158,3 @@ def check_two_level(coarse: float, fine: float, magnitude: float,
             f"(limit {NONCONVERGENCE_FACTOR * target_rel_tol * scale:.3e})"
         )
     return est
-
-
-# ---------------------------------------------------------------------------
-# tanh-sinh on (0, 1)
-# ---------------------------------------------------------------------------
-
-_TS_BASE_LEVEL = 3
-_TS_UMAX = 6.5  # beyond this the node distance to the endpoint underflows
-
-
-@lru_cache(maxsize=None)
-def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New nodes at refinement ``level``: (t, 1-t, w).
-
-    Level 0 is the full coarse grid with step ``2^-3``; each higher level
-    contributes only the odd multiples of its step so partial sums can be
-    accumulated.  ``t`` and ``1-t`` are both computed from the stable
-    exponential form, so either endpoint distance is accurate to round-off.
-    """
-    h = 2.0 ** (-(level + _TS_BASE_LEVEL))
-    kmax = int(_TS_UMAX / h)
-    if level == 0:
-        ks = np.arange(-kmax, kmax + 1)
-    else:
-        ks = np.arange(-kmax, kmax + 1)
-        ks = ks[ks % 2 != 0]
-    u = ks * h
-    z = 0.5 * math.pi * np.sinh(u)
-    ez = np.exp(-2.0 * np.abs(z))
-    near = ez / (1.0 + ez)  # distance to the nearer endpoint
-    t = np.where(z >= 0, 1.0 - near, near)
-    omt = np.where(z >= 0, near, 1.0 - near)
-    # dt/du = (pi/4) cosh(u) sech^2(z) with sech^2(z) = 4 ez / (1 + ez)^2
-    w = math.pi * np.cosh(u) * ez / (1.0 + ez) ** 2
-    keep = (near > 0.0) & np.isfinite(w) & (w > 0.0)
-    out = (t[keep], omt[keep], w[keep])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def tanh_sinh_01(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rel_tol: float = 1e-13,
-    max_level: int = 9,
-) -> tuple[float, float]:
-    """Integrate ``integrand(t, 1 - t)`` over (0, 1).
-
-    The integrand receives both ``t`` and ``1 - t`` so that algebraic
-    behaviour at either endpoint can be evaluated without cancellation.
-    Returns ``(value, error_estimate)``; the estimate is the disagreement of
-    the two finest levels plus the round-off floor of the summed term
-    magnitude ``h * sum |w * integrand|``.
-    """
-    h = 2.0 ** (-_TS_BASE_LEVEL)
-    t, omt, w = _tanh_sinh_level(0)
-    vals = integrand(t, omt)
-    acc = float(np.dot(w, vals))
-    mag = float(np.dot(w, np.abs(vals)))  # tanh-sinh weights are positive
-    prev = acc * h
-    if not math.isfinite(prev):
-        raise QuadratureNonConvergenceError(
-            "tanh-sinh samples produced non-finite values; integrand likely divergent"
-        )
-    result = prev
-    err = abs(prev)
-    for level in range(1, max_level + 1):
-        t, omt, w = _tanh_sinh_level(level)
-        vals = integrand(t, omt)
-        acc += float(np.dot(w, vals))
-        mag += float(np.dot(w, np.abs(vals)))
-        h *= 0.5
-        result = acc * h
-        if not math.isfinite(result):
-            raise QuadratureNonConvergenceError(
-                "tanh-sinh samples produced non-finite values; integrand likely divergent"
-            )
-        err = abs(result - prev)
-        if err <= rel_tol * max(1.0, abs(result)):
-            break
-        prev = result
-    return result, err + error_floor(mag * h)

@@ -2,57 +2,29 @@
 
 The fractional-integral normalizations and the Beta-moment closed forms only
 ever need Gamma on the positive axis, so no analytic continuation is
-provided; negative or zero arguments raise.
+provided; negative or zero arguments raise.  The values come from the
+standard library's ``math.gamma`` and ``math.lgamma``; this module adds the
+domain and overflow checks and the Beta function with its round-off bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, OverflowDomainError
-from .quadrature import tanh_sinh_01
 
 __all__ = [
     "GAMMA_OVERFLOW_LIMIT",
-    "SpecialValue",
     "gamma",
     "log_gamma",
     "beta",
-    "beta_integral",
+    "beta_rel_error",
 ]
 
 #: Largest x with Gamma(x) representable in float64.
 GAMMA_OVERFLOW_LIMIT = 171.624376956302725
 
-# Lanczos rational approximation, g = 607/128 with 15 coefficients
-# (Godfrey's set, the one used by several numerical libraries; the rational
-# part is accurate to ~1e-15 relative over the positive axis).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def _lanczos_sum(z: float) -> float:
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    return s
+_EPS = 2.0**-52
 
 
 def _check_positive(name: str, x: float) -> float:
@@ -73,59 +45,48 @@ def gamma(x: float) -> float:
         raise OverflowDomainError(
             f"gamma({x}) overflows float64 (limit {GAMMA_OVERFLOW_LIMIT})"
         )
-    if x < 0.5:
-        # Reflection keeps the Lanczos series in its accurate regime.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    s = _lanczos_sum(z)
-    t = z + _LANCZOS_G + 0.5
-    # Split power keeps the intermediate below the overflow threshold.
-    half = t ** (0.5 * (z + 0.5))
-    return math.sqrt(2.0 * math.pi) * s * half * math.exp(-t) * half
+    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
     """log(Gamma(x)) for x > 0, valid far beyond the gamma overflow limit."""
-    x = _check_positive("log_gamma", x)
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _lanczos_sum(z)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(_check_positive("log_gamma", x))
 
 
 def beta(x: float, y: float) -> float:
     """B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0.
 
-    Evaluated in log space so large arguments cannot overflow; symmetric in
-    its arguments by construction.
+    The Gamma ratio is used while Gamma(x + y) is representable and log space
+    beyond, so large arguments cannot overflow.  The arguments are put in
+    order first, so the result is bit-identical under swapping them.
     """
     x = _check_positive("beta", x)
     y = _check_positive("beta", y)
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    if x > y:
+        x, y = y, x
+    if x + y < GAMMA_OVERFLOW_LIMIT:
+        # Gamma(y) / Gamma(x + y) stays finite; the small argument's 1/x-like
+        # growth is applied last.
+        return math.gamma(x) * (math.gamma(y) / math.gamma(x + y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-@dataclass(frozen=True)
-class SpecialValue:
-    """A computed value together with an absolute error estimate."""
+def beta_rel_error(x: float, y: float) -> float:
+    """A bound on the relative round-off error of :func:`beta` at (x, y).
 
-    value: float
-    abs_error_estimate: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"special value is not finite: {self.value}")
-        if self.abs_error_estimate < 0.0:
-            raise DomainError("error estimate must be non-negative")
-
-
-def beta_integral(x: float, y: float) -> SpecialValue:
-    """B(x, y) by tanh-sinh quadrature of ``int_0^1 t^(x-1) (1-t)^(y-1) dt``.
-
-    Independent of the Gamma-based route; used to cross-check :func:`beta`.
+    ``z = x + y`` is rounded before Gamma or log-Gamma sees it, which costs
+    up to ``|psi(z)| z eps/2 <= (z |log z| + 1) eps/2``: the leading
+    ``z (|log z| + 1)`` term.  ``16`` covers the few ulps of each Gamma value
+    and the products.  In log space each log-Gamma value is off by a few ulps
+    of its own size, which the exponential turns into relative error.
+    Checked against 40-digit mpmath on Beta(g, s + 1) for g in (0.05, 171)
+    and on (0.05, 30)^2: the observed error stays below half of this bound.
     """
-    x = _check_positive("beta_integral", x)
-    y = _check_positive("beta_integral", y)
-    value, err = tanh_sinh_01(lambda t, omt: t ** (x - 1.0) * omt ** (y - 1.0))
-    return SpecialValue(value=value, abs_error_estimate=err)
+    x = _check_positive("beta", x)
+    y = _check_positive("beta", y)
+    z = x + y
+    units = z * (abs(math.log(z)) + 1.0) + 16.0
+    if z >= GAMMA_OVERFLOW_LIMIT:
+        units += 8.0 * (abs(math.lgamma(x)) + abs(math.lgamma(y))
+                        + abs(math.lgamma(z)))
+    return units * _EPS

@@ -81,3 +81,37 @@ def coordinate_h_convex_deficit(f, hf, t, k, x, u, y, w):
     rhs = (hf(t) * hf(k) * f(x, u) + hf(k) * hf(1 - t) * f(y, u)
            + hf(t) * hf(1 - k) * f(x, w) + hf(1 - t) * hf(1 - k) * f(y, w))
     return lhs - rhs
+
+
+def table_moment_exact(knots, g, dps=40):
+    """M(h, g) = int_0^1 t^(g-1) (h(t) + h(1-t)) dt for a piecewise-linear h.
+
+    Each piece h = p + q t integrates exactly through its antiderivative
+    p t^g/g + q t^(g+1)/(g+1), evaluated in ``dps``-digit mpmath (no
+    numerical quadrature: ``mpmath.quad`` does not resolve the t^(g-1) end at
+    small g).  h is held constant before the first knot and after the last.
+    Returns an mpmath number.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(g)
+        pts = [(mpmath.mpf(t), mpmath.mpf(h)) for t, h in knots]
+        if pts[0][0] > 0:
+            pts.insert(0, (mpmath.mpf(0), pts[0][1]))
+        if pts[-1][0] < 1:
+            pts.append((mpmath.mpf(1), pts[-1][1]))
+        total = mpmath.mpf(0)
+        for (t0, h0), (t1, h1) in zip(pts, pts[1:]):
+            q = (h1 - h0) / (t1 - t0)
+            p = h0 - q * t0
+
+            def prim(t, p=p, q=q):
+                return p * t**g / g + q * t ** (g + 1) / (g + 1)
+
+            # h(1-t) = (p + q) - q t on [1 - t1, 1 - t0]
+            def prim_mirror(t, p=p, q=q):
+                return (p + q) * t**g / g - q * t ** (g + 1) / (g + 1)
+
+            total += prim(t1) - prim(t0) + prim_mirror(1 - t0) - prim_mirror(1 - t1)
+        return +total

@@ -17,9 +17,7 @@ from hhfrac.certify import (
     corollary_moment_c1,
     corollary_moment_c2,
     corollary_moment_c3,
-    h_moment_k1,
     h_moment_m,
-    h_moment_unit,
     lemma1_residual,
     theorem1_chain,
     theorem4_chain,
@@ -30,7 +28,6 @@ from hhfrac.cli import main
 from hhfrac.fracquad import FracOrder, Interval, Rectangle, Side, frac_integral_1d
 from hhfrac.funcspace import builtin_function, parse_function_spec
 from hhfrac.hweights import HWeight, check_coordinate_h_convex
-from hhfrac.quadrature import tanh_sinh_01
 from hhfrac.special import gamma as lib_gamma
 
 UNIT = Interval(0.0, 1.0)
@@ -126,16 +123,15 @@ def test_criterion_4_reduction_fidelity():
     identity = HWeight.identity()
     for alpha in (0.5, 1.0, 2.0):
         for beta in (0.5, 1.0, 2.0):
-            k1a, _ = h_moment_k1(identity, alpha)
-            k1b, _ = h_moment_k1(identity, beta)
+            k1a, _ = h_moment_m(identity, alpha + 1.0)
+            k1b, _ = h_moment_m(identity, beta + 1.0)
             want = 1.0 / ((alpha + 1.0) * (beta + 1.0))
             if abs(k1a * k1b - want) / want > 1e-10:
                 failures.append(("trapezoid kernel", alpha, beta, k1a * k1b))
-    u, _ = h_moment_unit(identity)
-    um, _ = h_moment_unit(identity, mirror=True)
+    u = h_moment_m(identity, 1.0)[0] / 2.0
     for q in (1.5, 2.0, 3.0):
-        if abs((u * um) ** (1.0 / q) - 0.25 ** (1.0 / q)) > 1e-10 * 0.25 ** (1.0 / q):
-            failures.append(("holder kernel", q, u * um))
+        if abs((u * u) ** (1.0 / q) - 0.25 ** (1.0 / q)) > 1e-10 * 0.25 ** (1.0 / q):
+            failures.append(("holder kernel", q, u * u))
     f = builtin_function("quadratic")
     for alpha in (0.5, 1.0, 2.0):
         for beta in (0.5, 1.0, 2.0):
@@ -161,17 +157,16 @@ def test_criterion_5_corollary_closed_forms():
             want = corollary_moment_c1(g, s)
             if abs(m - want) / want > 1e-9:
                 failures.append(("c1", g, s, m, want))
-            k1, _ = h_moment_k1(h, g)
+            k1, _ = h_moment_m(h, g + 1.0)
             want = corollary_moment_c2(g, s)
             if abs(k1 - want) / want > 1e-9:
                 failures.append(("c2", g, s, k1, want))
     for s in svals:
-        u, _ = h_moment_unit(HWeight.power(s))
-        um, _ = h_moment_unit(HWeight.power(s), mirror=True)
+        u = h_moment_m(HWeight.power(s), 1.0)[0] / 2.0
         want = corollary_moment_c3(s)
-        if abs(u * um - want) / want > 1e-9:
-            failures.append(("c3", s, u * um, want))
-    _report(5, "quadrature moments match the Beta-function closed forms",
+        if abs(u * u - want) / want > 1e-9:
+            failures.append(("c3", s, u * u, want))
+    _report(5, "h-moments match the Beta-function closed forms",
             failures)
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from hhfrac.certify import (
     corollary_moment_c1,
     corollary_moment_c2,
     corollary_moment_c3,
-    h_moment_k1,
     h_moment_m,
-    h_moment_unit,
     lemma1_residual,
     middle_fractional_term,
     middle_fractional_term_with_estimate,
@@ -27,12 +26,18 @@ from hhfrac.certify import (
 from hhfrac.errors import DivergentMomentError, DomainError
 from hhfrac.fracquad import FracOrder, Rectangle
 from hhfrac.funcspace import BivariateFunction, builtin_function, parse_function_spec
-from hhfrac.hweights import HWeight
+from hhfrac.hweights import HWeight, h_eval, load_table
 
-from oracles import brute_frac_1d, brute_frac_2d
+from oracles import brute_frac_1d, brute_frac_2d, table_moment_exact
 
 UNIT_SQ = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
 OFF_SQ = Rectangle.from_bounds(0.5, 2.0, 0.25, 1.5)
+
+H_TABLE = load_table(str(Path(__file__).resolve().parents[1] / "perfbench" / "h_table.txt"))
+#: First knot above 0 and last below 1, so h is constant on both end pieces.
+H_TABLE_ENDS = HWeight.from_table([(0.1, 0.4), (0.3, 0.35), (0.55, 0.9), (0.8, 0.85)])
+H_TABLE_CONST = HWeight.from_table([(0.0, 1.0), (1.0, 1.0)])
+TABLES = (H_TABLE, H_TABLE_ENDS, H_TABLE_CONST)
 
 PRODUCT = builtin_function("product")
 QUADRATIC = builtin_function("quadratic")
@@ -119,29 +124,25 @@ class TestHMoments:
 
     def test_k1_identity_closed_form(self):
         for order in (0.5, 1.0, 2.0):
-            v, _ = h_moment_k1(HWeight.identity(), order)
+            v, _ = h_moment_m(HWeight.identity(), order + 1.0)
             assert v == pytest.approx(1.0 / (order + 1.0), rel=1e-12)
-            vm, _ = h_moment_k1(HWeight.identity(), order, mirror=True)
-            assert vm == pytest.approx(v, rel=1e-12)
 
     def test_k1_power_matches_corollary(self):
         for order in (0.3, 1.0, 2.0):
             for s in (0.25, 0.75):
-                v, _ = h_moment_k1(HWeight.power(s), order)
+                v, _ = h_moment_m(HWeight.power(s), order + 1.0)
                 assert v == pytest.approx(corollary_moment_c2(order, s), rel=1e-9)
 
     def test_unit_moment(self):
-        v, _ = h_moment_unit(HWeight.power(0.5))
+        v = h_moment_m(HWeight.power(0.5), 1.0)[0] / 2.0
         assert v == pytest.approx(1.0 / 1.5, rel=1e-12)
-        vm, _ = h_moment_unit(HWeight.power(0.5), mirror=True)
-        assert vm == pytest.approx(v, rel=1e-12)
-        u, _ = h_moment_unit(HWeight.one())
+        u = h_moment_m(HWeight.one(), 1.0)[0] / 2.0
         assert u == pytest.approx(1.0, rel=1e-13)
 
     def test_gl_diverges(self):
         for fn in (lambda: h_moment_m(HWeight.godunova_levin(), 0.5),
-                   lambda: h_moment_k1(HWeight.godunova_levin(), 1.0),
-                   lambda: h_moment_unit(HWeight.godunova_levin())):
+                   lambda: h_moment_m(HWeight.godunova_levin(), 2.0),
+                   lambda: h_moment_m(HWeight.godunova_levin(), 1.0)):
             with pytest.raises(DivergentMomentError):
                 fn()
 
@@ -149,6 +150,80 @@ class TestHMoments:
         h = HWeight.from_table([(0.0, 1.0), (1.0, 1.0)])  # constant 1
         v, _ = h_moment_m(h, 2.0)
         assert v == pytest.approx(1.0, rel=1e-10)
+
+
+class TestHMomentOracle:
+    """Closed-form moments against 40-digit references: |M - exact| is within
+    the returned round-off bound, and the bound is tight for orders <= 6."""
+
+    ORDERS = tuple(float(g) for g in np.geomspace(0.05, 6.0, 41)) + (
+        7.5, 12.0, 30.0, 75.0, 120.0, 170.0)
+
+    @staticmethod
+    def _check(value, err, exact, g):
+        mp = pytest.importorskip("mpmath")
+        assert abs(mp.mpf(value) - exact) <= err, (g, value, exact, err)
+        if g <= 6.0:
+            assert err <= 1e-13 * abs(value), (g, value, err)
+
+    @pytest.mark.parametrize("h", TABLES, ids=["h_table", "constant_ends", "constant"])
+    def test_table_against_exact_antiderivatives(self, h):
+        pytest.importorskip("mpmath")
+        for g in self.ORDERS:
+            value, err = h_moment_m(h, g)
+            self._check(value, err, table_moment_exact(h.table, g), g)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+    def test_power_against_mpmath_beta(self, s):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for g in self.ORDERS:
+                value, err = h_moment_m(HWeight.power(s), g)
+                exact = 1 / (mp.mpf(g) + mp.mpf(s)) + mp.beta(g, mp.mpf(s) + 1)
+                self._check(value, err, exact, g)
+
+    def test_identity_and_one(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for g in self.ORDERS:
+                for h, c in ((HWeight.identity(), 1), (HWeight.one(), 2)):
+                    value, err = h_moment_m(h, g)
+                    self._check(value, err, c / mp.mpf(g), g)
+
+
+class TestMomentIdentities:
+    """The single-moment identities, each against scipy quad of the original
+    integrand, split at the table knots."""
+
+    WEIGHTS = (HWeight.power(0.5), HWeight.power(1.0), HWeight.one(), *TABLES)
+
+    @staticmethod
+    def _quad(fn, h):
+        # h(t) kinks at the knots and h(1 - t) at their mirror images
+        knots = sorted({x for t, _ in h.table for x in (t, 1.0 - t)}) if h.table else None
+        value, _ = quad(fn, 0.0, 1.0, points=knots, epsabs=1e-15, epsrel=1e-13,
+                        limit=200)
+        return value
+
+    @pytest.mark.parametrize("g", [0.3, 1.0, 2.5])
+    def test_k1_is_m_at_next_order(self, g):
+        for h in self.WEIGHTS:
+            k1 = self._quad(lambda t: (t**g + (1 - t) ** g) * h_eval(h, t), h)
+            assert h_moment_m(h, g + 1.0)[0] == pytest.approx(k1, rel=1e-12)
+
+    def test_unit_is_half_m_at_one(self):
+        for h in self.WEIGHTS:
+            u = self._quad(lambda t: h_eval(h, t), h)
+            assert h_moment_m(h, 1.0)[0] / 2.0 == pytest.approx(u, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [0.3, 1.0, 2.5])
+    def test_mirror_equals_plain(self, g):
+        for h in self.WEIGHTS:
+            k1_mirror = self._quad(
+                lambda t: (t**g + (1 - t) ** g) * h_eval(h, 1 - t), h)
+            u_mirror = self._quad(lambda t: h_eval(h, 1 - t), h)
+            assert h_moment_m(h, g + 1.0)[0] == pytest.approx(k1_mirror, rel=1e-12)
+            assert h_moment_m(h, 1.0)[0] / 2.0 == pytest.approx(u_mirror, rel=1e-12)
 
 
 class TestCorollaryMoments:
@@ -263,14 +338,14 @@ class TestTheorem5Bound:
     def test_identity_reduction_kernel_constant(self, order):
         # with the identity weight the kernel collapses to 1/((a+1)(b+1))
         al, be = order
-        k1a, _ = h_moment_k1(HWeight.identity(), al)
-        k1b, _ = h_moment_k1(HWeight.identity(), be)
+        k1a, _ = h_moment_m(HWeight.identity(), al + 1.0)
+        k1b, _ = h_moment_m(HWeight.identity(), be + 1.0)
         assert k1a * k1b == pytest.approx(1.0 / ((al + 1) * (be + 1)), rel=1e-10)
 
     def test_power_reduction_matches_corollary_kernel(self):
         al, be, s = 0.5, 2.0, 0.25
-        k1a, _ = h_moment_k1(HWeight.power(s), al)
-        k1b, _ = h_moment_k1(HWeight.power(s), be)
+        k1a, _ = h_moment_m(HWeight.power(s), al + 1.0)
+        k1b, _ = h_moment_m(HWeight.power(s), be + 1.0)
         want = corollary_moment_c2(al, s) * corollary_moment_c2(be, s)
         assert k1a * k1b == pytest.approx(want, rel=1e-10)
 
@@ -296,15 +371,13 @@ class TestTheorem6Bound:
     def test_identity_reduction_quarter_power(self):
         # unit moments of the identity multiply to 1/4, so the corner factor
         # becomes (1/4)^(1/q) once pulled out of the q-th root
-        u, _ = h_moment_unit(HWeight.identity())
-        um, _ = h_moment_unit(HWeight.identity(), mirror=True)
-        assert u * um == pytest.approx(0.25, rel=1e-10)
+        u = h_moment_m(HWeight.identity(), 1.0)[0] / 2.0
+        assert u * u == pytest.approx(0.25, rel=1e-10)
 
     def test_power_family_collapses_to_c3(self):
         s = 0.5
-        u, _ = h_moment_unit(HWeight.power(s))
-        um, _ = h_moment_unit(HWeight.power(s), mirror=True)
-        assert u * um == pytest.approx(corollary_moment_c3(s), rel=1e-10)
+        u = h_moment_m(HWeight.power(s), 1.0)[0] / 2.0
+        assert u * u == pytest.approx(corollary_moment_c3(s), rel=1e-10)
 
     def test_exponent_validation(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert rep["result"]["residual"] <= 10.0 * rep["result"]["quadrature_error"]
+
+    def test_t4_table_weight_error_is_round_off(self, capsys):
+        table = Path(__file__).resolve().parents[1] / "perfbench" / "h_table.txt"
+        code, rep = run_json(
+            capsys, "verify", "--theorem", "t4", "--f", "exp(x+y)",
+            "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1.3",
+            "--h", f"table:{table}",
+        )
+        assert code == 0
+        assert rep["result"]["quadrature_error"] < 1e-12
+        assert rep["result"]["tol"] == 1e-8
 
     def test_failing_inequality_exits_1(self, capsys):
         # concave f: the lower chain member exceeds the middle

@@ -17,6 +17,7 @@ from hhfrac.hweights import (
     h_eval,
     inequality_deficit,
     parse_hweight,
+    table_pieces,
 )
 
 from oracles import coordinate_convex_deficit, coordinate_h_convex_deficit
@@ -75,6 +76,19 @@ class TestHEval:
     def test_array_input(self):
         out = h_eval(HWeight.power(0.5), np.array([0.25, 1.0]))
         np.testing.assert_allclose(out, [0.5, 1.0])
+
+    @pytest.mark.parametrize("knots", [
+        [(0.0, 0.05), (0.25, 0.3), (0.5, 0.6), (0.75, 0.8), (1.0, 1.0)],
+        [(0.1, 0.4), (0.3, 0.35), (0.55, 0.9), (0.8, 0.85)],
+    ])
+    def test_table_pieces_extend_as_h_eval(self, knots):
+        h = HWeight.from_table(knots)
+        pieces = table_pieces(h)
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == 1.0
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+        for t0, t1, p, q in pieces:
+            t = np.linspace(t0, t1, 7)
+            np.testing.assert_allclose(p + q * t, h_eval(h, t), rtol=1e-14, atol=1e-15)
 
 
 class TestParseHWeight:

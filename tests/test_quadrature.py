@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hhfrac.errors import QuadratureNonConvergenceError
 from hhfrac.quadrature import (
     error_floor,
     gauss_legendre_01,
     grading_exponent,
     power_weighted_rule,
-    tanh_sinh_01,
 )
 
 
@@ -54,27 +52,6 @@ class TestPowerWeightedRule:
         ref = sum(1.0 / (math.factorial(k) * (k + 0.5)) for k in range(30))
         u, w = power_weighted_rule(0.5, 48, "gauss")
         assert float(np.dot(w, np.exp(u))) == pytest.approx(ref, rel=1e-12)
-
-
-class TestTanhSinh:
-    def test_constant(self):
-        v, err = tanh_sinh_01(lambda t, omt: np.ones_like(t))
-        assert v == pytest.approx(1.0, rel=1e-13)
-        assert err < 1e-12
-
-    def test_endpoint_singular(self):
-        # int_0^1 t^(-0.7) dt = 1/0.3
-        v, _ = tanh_sinh_01(lambda t, omt: t ** (-0.7))
-        assert v == pytest.approx(1.0 / 0.3, rel=1e-12)
-
-    def test_both_endpoints(self):
-        # int_0^1 t^(-0.5) (1-t)^(-0.5) dt = pi
-        v, _ = tanh_sinh_01(lambda t, omt: t ** (-0.5) * omt ** (-0.5))
-        assert v == pytest.approx(math.pi, rel=1e-12)
-
-    def test_divergent_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(QuadratureNonConvergenceError):
-            tanh_sinh_01(lambda t, omt: 1.0 / t)
 
 
 def test_error_floor_positive():

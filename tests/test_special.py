@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from hhfrac.errors import DomainError, OverflowDomainError
-from hhfrac.special import GAMMA_OVERFLOW_LIMIT, SpecialValue, beta, beta_integral, gamma, log_gamma
+from hhfrac.special import GAMMA_OVERFLOW_LIMIT, beta, beta_rel_error, gamma, log_gamma
 
 from oracles import gamma_half_oracle, simpson
 
@@ -94,22 +95,37 @@ class TestBeta:
 
 
 class TestBetaIntegralQuadrature:
+    """beta against scipy's algebraic-weight rule for the defining integral
+    int_0^1 t^(x-1) (1-t)^(y-1) dt, independent of the Gamma route."""
+
+    @staticmethod
+    def _integral(x, y):
+        return quad(lambda t: 1.0, 0.0, 1.0, weight="alg", wvar=(x - 1.0, y - 1.0))
+
     def test_consistency_grid(self):
-        # desingularized quadrature of the defining integral vs the Gamma route
         for x in (0.2, 0.5, 1.0, 2.7, 5.0):
             for y in (0.2, 0.9, 3.3, 5.0):
-                sv = beta_integral(x, y)
-                assert isinstance(sv, SpecialValue)
-                assert sv.value == pytest.approx(beta(x, y), rel=1e-9)
-                assert sv.abs_error_estimate >= 0.0
+                value, abserr = self._integral(x, y)
+                assert value == pytest.approx(beta(x, y), rel=1e-9)
+                assert abserr >= 0.0
 
     def test_error_estimate_covers_truth(self):
-        sv = beta_integral(0.5, 0.5)
-        assert abs(sv.value - math.pi) <= 10.0 * sv.abs_error_estimate
+        value, abserr = self._integral(0.5, 0.5)
+        assert abs(value - math.pi) <= 10.0 * abserr
+        assert abs(beta(0.5, 0.5) - value) <= 10.0 * abserr
 
 
-def test_special_value_invariants():
-    with pytest.raises(DomainError):
-        SpecialValue(value=float("inf"), abs_error_estimate=0.0)
-    with pytest.raises(DomainError):
-        SpecialValue(value=1.0, abs_error_estimate=-1.0)
+class TestBetaRoundOffBound:
+    def test_bound_covers_mpmath(self):
+        # both branches: the Gamma ratio below the overflow limit, log space above
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        pairs = [tuple(p) for p in rng.uniform(0.05, 30.0, (200, 2))]
+        pairs += [(float(g), s + 1.0) for g in np.geomspace(0.05, 171.0, 60)
+                  for s in (0.3, 0.5, 1.0)]
+        pairs += [(400.0, 350.0), (90.0, 85.0), (1e-3, 170.5)]
+        with mp.workdps(40):
+            for x, y in pairs:
+                exact = mp.beta(x, y)
+                assert abs(mp.mpf(beta(x, y)) - exact) <= beta_rel_error(x, y) * exact, (x, y)
+
