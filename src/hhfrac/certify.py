@@ -17,6 +17,31 @@ Shorthand used throughout (rectangle [a, b] x [c, d], orders alpha, beta):
   round-off bound as its error; the corollary functions are its power-family
   cases.
 
+The middle term, A and the lemma1 kernel integral are first computed by
+product integration (Atkinson 1997, sec. 4.2; Sloan & Smith 1980; see
+:func:`hhfrac.quadrature.product_weights`) from samples
+on the tensor Gauss-Legendre grid of the rectangle, x = a + (b-a) xi,
+y = c + (d-c) eta:
+
+* middle = alpha beta * w_e(alpha)^T F w_e(beta), because the four corner
+  kernels sum to (xi^(alpha-1) + (1-xi)^(alpha-1)) (eta^(beta-1) + ...);
+* A = (beta/2) w_e(beta)^T (f(a, .) + f(b, .))
+      + (alpha/2) w_e(alpha)^T (f(., c) + f(., d));
+* rhs = (b-a)(d-c) * w_o(alpha+1)^T D w_o(beta+1), D the mixed partial,
+  because (t^alpha - (1-t)^alpha) is antisymmetric about t = 1/2;
+
+with w_e / w_o the even / odd-parity weights.  The samples depend only on
+(f, rectangle, level) and are cached on the function, so every corner, both
+terms, both identity sides and every sweep row share them; only the weights
+depend on the orders.  Each quantity is computed at n and 2n nodes per axis;
+when the two differ by more than ``target_rel_tol * max(1, |value|)`` (an
+endpoint singularity of f, such as x^0.5, converges only algebraically;
+finite-difference noise in D can exceed the target at small n) that
+quantity falls back to the graded corner rules of :mod:`hhfrac.fracquad`,
+which also serve the ``graded-composite`` scheme.  The estimate of a
+product-rule value is the level gap plus the round-off floor of
+``|w|^T |F| |w|``, with the weights' own rounding bound added to ``|w|``.
+
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the
 inequalities are exact in the limit, tolerance exists only for numerics.
@@ -33,15 +58,22 @@ from .errors import DivergentMomentError, DomainError
 from .fracquad import (
     Corner,
     FracOrder,
+    QuadratureScheme,
     QuadratureSpec,
     Rectangle,
     Side,
     frac_integral_1d_with_estimate,
     frac_integral_2d_with_estimate,
+    gauss_grid_samples,
 )
 from .funcspace import BivariateFunction, FDSpec, mixed_partial
 from .hweights import HFamily, HWeight, h_eval, table_pieces
-from .quadrature import check_two_level, power_weighted_rule
+from .quadrature import (
+    check_two_level,
+    gauss_legendre_01,
+    power_weighted_rule,
+    product_weights,
+)
 from .special import beta as beta_fn
 from .special import beta_rel_error, gamma
 
@@ -158,6 +190,96 @@ def _corner_values(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# product integration on one Gauss-Legendre grid
+# ---------------------------------------------------------------------------
+
+def _levels(spec: QuadratureSpec) -> tuple[int, ...]:
+    """Node counts of the product rule, or none for the graded-only scheme."""
+    if spec.scheme is not QuadratureScheme.GAUSS_LEGENDRE_DESINGULARIZED:
+        return ()
+    return (spec.nodes_per_axis, 2 * spec.nodes_per_axis)
+
+
+def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
+    return fv.cached(("f", rect, n), lambda: gauss_grid_samples(fv, rect, n))
+
+
+def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int, fd: FDSpec) -> np.ndarray:
+    """The mixed partial on the n-point Gauss-Legendre grid of ``rect``."""
+    def build():
+        xi = gauss_legendre_01(n)[0]
+        xs = rect.a + rect.x.width * xi
+        ys = rect.c + rect.y.width * xi
+        # A function of one variable gives a (n, 1), (1, n) or scalar partial.
+        return np.broadcast_to(np.asarray(
+            mixed_partial(fv, xs[:, None], ys[None, :], fd, rect), dtype=float
+        ), (n, n))
+    return fv.cached(("d2f", rect, n, fd), build)
+
+
+def _bilinear_form(wx, wy, grid: np.ndarray) -> tuple[float, float]:
+    """``wx^T G wy`` and its summed magnitude, with the weights' rounding.
+
+    ``wx`` and ``wy`` are ``(omega, rho)`` pairs from ``product_weights``.
+    The magnitude ``(|omega_x| + rho_x)^T |G| |omega_y| + |omega_x|^T |G|
+    rho_y`` covers the rounding of the sum and, to first order, of both
+    weight vectors.
+    """
+    (ox, rx), (oy, ry) = wx, wy
+    ag = np.abs(grid)
+    ax = np.abs(ox)
+    magnitude = float((ax + rx) @ ag @ np.abs(oy)) + float(ax @ ag @ ry)
+    return float(ox @ grid @ oy), magnitude
+
+
+def _product_estimate(levels, spec: QuadratureSpec, what: str):
+    """``(value, error)`` from the ``(value, magnitude)`` of the two levels,
+    or ``None`` when they disagree beyond the target and the caller falls
+    back to the graded rules."""
+    if not levels:
+        return None
+    (coarse, _), (fine, magnitude) = levels
+    if abs(coarse - fine) > spec.target_rel_tol * max(1.0, abs(fine)):
+        return None
+    return fine, check_two_level(coarse, fine, magnitude, spec.target_rel_tol, what)
+
+
+def _product_middle(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
+    levels = []
+    ab = order.alpha * order.beta
+    for n in _levels(spec):
+        v, m = _bilinear_form(product_weights(order.alpha, n, 0),
+                              product_weights(order.beta, n, 0), _f_grid(fv, rect, n)[0])
+        levels.append((ab * v, ab * m))
+    return _product_estimate(levels, spec, "product-rule middle term")
+
+
+def _product_a_term(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
+    levels = []
+    for n in _levels(spec):
+        _, edges_x, edges_y = _f_grid(fv, rect, n)
+        value = magnitude = 0.0
+        for g, sections in ((order.beta, edges_x), (order.alpha, edges_y.T)):
+            omega, rho = product_weights(g, n, 0)
+            value += 0.5 * g * float(omega @ (sections[0] + sections[1]))
+            magnitude += 0.5 * g * float((np.abs(omega) + rho) @ np.abs(sections).sum(axis=0))
+        levels.append((value, magnitude))
+    return _product_estimate(levels, spec, "product-rule A term")
+
+
+def _product_kernel_integral(fv, order: FracOrder, rect: Rectangle, fd: FDSpec,
+                             spec: QuadratureSpec):
+    levels = []
+    scale = rect.x.width * rect.y.width
+    for n in _levels(spec):
+        v, m = _bilinear_form(product_weights(order.alpha + 1.0, n, 1),
+                              product_weights(order.beta + 1.0, n, 1),
+                              _d_grid(fv, rect, n, fd))
+        levels.append((scale * v, scale * m))
+    return _product_estimate(levels, spec, "product-rule derivative-kernel integral")
+
+
+# ---------------------------------------------------------------------------
 # the fractional building blocks
 # ---------------------------------------------------------------------------
 
@@ -171,6 +293,9 @@ def middle_fractional_term_with_estimate(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
+    product = _product_middle(fv, order, rect, spec)
+    if product is not None:
+        return product
     pieces = (
         (Corner.LOWER_LOWER, (rect.b, rect.d)),
         (Corner.LOWER_UPPER, (rect.b, rect.c)),
@@ -199,6 +324,9 @@ def a_term_with_estimate(
     """The correction A from the eight boundary-section fractional integrals."""
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
+    product = _product_a_term(fv, order, rect, spec)
+    if product is not None:
+        return product
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
     def section_x(x0):
@@ -482,8 +610,12 @@ def _folded_derivative_integral(
         int_0^1 (t^a - (1-t)^a) g(t) dt = int_0^1 t^a (g(t) - g(1-t)) dt,
 
     applied per axis, after which the power-weighted rule with orders
-    alpha + 1 and beta + 1 integrates it spectrally for smooth D.
+    alpha + 1 and beta + 1 integrates it spectrally for smooth D.  The
+    product rule on the cached Gauss-Legendre grid of D is tried first.
     """
+    product = _product_kernel_integral(fv, order, rect, fd, spec)
+    if product is not None:
+        return product
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
     def dsamp(xs, ys):

@@ -36,6 +36,7 @@ from .certify import (
 )
 from .errors import DomainError, HHFracError, UsageError
 from .fracquad import (
+    MAX_NODES_PER_AXIS,
     Corner,
     FracOrder,
     Interval,
@@ -245,15 +246,19 @@ def _verify_config_dict(args) -> dict:
     }
 
 
-def _run_theorem(args) -> tuple[str, dict]:
-    """Returns (status, result-dict) for one verify-style evaluation."""
+def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
+    """Returns (status, result-dict) for one verify-style evaluation.
+
+    ``parse`` turns ``args.f`` into a function; sweep passes one that hands
+    every row the same parsed instance, so the rows share its samples.
+    """
     # Construction problems are usage errors; anything after is computation.
     try:
         rect = _rect(args)
         order = FracOrder(float(args.alpha), float(args.beta))
         spec = _quad_spec(args)
         fd = FDSpec(step_relative=float(args.fd_step))
-        f = parse_function_spec(args.f)
+        f = parse(args.f)
         h = parse_hweight(args.h) if args.h is not None else None
         pq = HolderExponents.from_p(float(args.p)) if args.theorem == "t6" else None
         abs_tol = float(args.abs_tol)
@@ -446,16 +451,38 @@ def _cmd_sweep(args) -> int:
         ns = argparse.Namespace(**cfg)
         _check_theorem_consistency(ns)
 
+    jobs = int(args.jobs)
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        _quad_spec(argparse.Namespace(**base))
+    except HHFracError as exc:
+        raise UsageError(str(exc)) from exc
+
+    # Each distinct f is parsed once, before the rows run, so every row and
+    # every pool thread reuses the samples cached on it.
+    parsed = {}
+    for text in dict.fromkeys(cfg["f"] for cfg in row_configs):
+        try:
+            parsed[text] = parse_function_spec(text)
+        except HHFracError as exc:
+            parsed[text] = exc
+
+    def parse(text: str):
+        f = parsed[text]
+        if isinstance(f, HHFracError):
+            raise f
+        return f
+
     def run_row(cfg: dict) -> dict:
         ns = argparse.Namespace(**cfg)
         try:
-            status, result = _run_theorem(ns)
+            status, result = _run_theorem(ns, parse)
             error = None
         except HHFracError as exc:
             status, result, error = "error", {}, f"{type(exc).__name__}: {exc}"
         return _sweep_row_from(cfg, status, result, error)
 
-    jobs = max(1, int(args.jobs))
     if jobs == 1 or len(row_configs) == 1:
         rows = [run_row(cfg) for cfg in row_configs]
     else:
@@ -636,7 +663,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_quadrature(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=None,
-                   help="quadrature nodes per axis (default 64)")
+                   help=("quadrature nodes per axis n; the two refinement "
+                         f"levels use n and 2n (default 64, at most {MAX_NODES_PER_AXIS})"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
                    help="quadrature target relative tolerance (default 1e-9)")
     p.add_argument("--scheme", default=None,

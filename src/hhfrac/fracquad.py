@@ -13,6 +13,16 @@ after which standard Gauss-Legendre converges spectrally for smooth ``f``.
 Every public value is the finer of two refinement levels (``n`` and ``2n``
 nodes per axis); their disagreement plus the round-off floor of the finer
 level's summed terms is the reported error estimate.
+
+The graded nodes move with the order, so each order resamples ``f``.  The
+theorem quantities in :mod:`hhfrac.certify` first try the product rule of
+:func:`hhfrac.quadrature.product_weights` (product integration: Atkinson,
+*The Numerical Solution of Integral Equations of the Second Kind*, 1997,
+sec. 4.2; Sloan & Smith, Numer. Math. 34 (1980) 387-401), which needs ``f``
+only on the fixed tensor Gauss-Legendre grid of the rectangle
+(:func:`gauss_grid_samples`); the public ``frac_integral_1d/2d`` always use
+the graded rules.  ``nodes_per_axis`` sets ``n`` for both, and is capped at
+:data:`MAX_NODES_PER_AXIS`.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .quadrature import check_two_level, power_weighted_rule
+from .quadrature import check_two_level, gauss_legendre_01, power_weighted_rule
 from .special import gamma
 
 __all__ = [
@@ -40,6 +50,8 @@ __all__ = [
     "frac_integral_1d_with_estimate",
     "frac_integral_2d",
     "frac_integral_2d_with_estimate",
+    "gauss_grid_samples",
+    "MAX_NODES_PER_AXIS",
 ]
 
 
@@ -146,6 +158,12 @@ class QuadratureScheme(enum.Enum):
         return "gauss" if self is QuadratureScheme.GAUSS_LEGENDRE_DESINGULARIZED else "simpson"
 
 
+#: Largest ``nodes_per_axis``.  The finer level samples a (2n)^2 grid (8 MB
+#: of float64 at the cap, before the evaluator's temporaries), and the
+#: rounding of the product weights for orders below one grows with ``n``.
+MAX_NODES_PER_AXIS = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     nodes_per_axis: int = 64
@@ -153,8 +171,9 @@ class QuadratureSpec:
     target_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes_per_axis < 2:
-            raise DomainError(f"nodes_per_axis must be >= 2, got {self.nodes_per_axis}")
+        if not 2 <= self.nodes_per_axis <= MAX_NODES_PER_AXIS:
+            raise DomainError(f"nodes_per_axis must lie in [2, {MAX_NODES_PER_AXIS}], "
+                              f"got {self.nodes_per_axis}")
         if not self.target_rel_tol > 0.0:
             raise DomainError(f"target_rel_tol must be positive, got {self.target_rel_tol}")
 
@@ -203,6 +222,24 @@ def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             f"function value not finite at (x={xs[i]!r}, y={ys[j]!r})"
         )
     return vals
+
+
+def gauss_grid_samples(f, rect: Rectangle, n: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``f`` on the tensor n-point Gauss-Legendre grid of ``rect``.
+
+    Returns ``(F, edges_x, edges_y)``: ``F[i, l] = f(x_i, y_l)``,
+    ``edges_x`` the (2, n) sections ``f(a, y_l)``, ``f(b, y_l)`` and
+    ``edges_y`` the (n, 2) sections ``f(x_i, c)``, ``f(x_i, d)``, with
+    ``x_i = a + (b - a) xi_i`` and ``y_l = c + (d - c) xi_l``.
+    """
+    ev = _as_evaluator(f)
+    xi, _ = gauss_legendre_01(n)
+    xs = rect.a + rect.x.width * xi
+    ys = rect.c + rect.y.width * xi
+    return (_sample_2d(ev, xs, ys),
+            _sample_2d(ev, np.array([rect.a, rect.b]), ys),
+            _sample_2d(ev, xs, np.array([rect.c, rect.d])))
 
 
 def _axis_samples(order: float, side: Side, interval: Interval, at: float, n: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .fracquad import Rectangle
+from .quadrature import CACHE_LOCK
 
 __all__ = [
     "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call", "Expression",
@@ -385,15 +386,28 @@ class BivariateFunction:
     arrays and broadcast; ``provenance`` records how the function was built
     (``builtin:...`` or ``parsed:...``).  ``kinked`` flags functions whose
     mixed partial is unreliable near a kink (``abs`` in the source).
+    Sample grids built through :meth:`cached` live as long as the function.
     """
 
     evaluator: Callable
     mixed_partial: Optional[Callable] = None
     provenance: str = ""
     kinked: bool = False
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x, y):
         return self.evaluator(x, y)
+
+    def cached(self, key, build: Callable):
+        """The value stored under ``key``, from ``build()`` on first use.
+
+        Built under the package's cache lock, so concurrent callers build
+        each entry once; a ``build`` that raises stores nothing.
+        """
+        with CACHE_LOCK:
+            if key not in self._samples:
+                self._samples[key] = build()
+            return self._samples[key]
 
     def partial_xy(self, x, y, spec: FDSpec = _DEFAULT_FD,
                    rect: Optional[Rectangle] = None):

@@ -1,6 +1,6 @@
 """Shared quadrature engines.
 
-Two rules cover every integral in the package:
+Three rules cover every integral in the package:
 
 * Gauss-Legendre on [0, 1] (cached nodes).
 * Power-weighted rules for integrals of the form
@@ -9,6 +9,20 @@ Two rules cover every integral in the package:
   the polynomial ``v^(p*order - 1)``, so Gauss-Legendre in ``v`` converges
   spectrally for smooth ``g`` even when the kernel is weakly singular
   (``order < 1``) or has a fractional-power kink (non-integer ``order > 1``).
+  The nodes move with the order, so ``g`` is sampled anew for every order.
+* Product-integration weights (Atkinson, *The Numerical Solution of Integral
+  Equations of the Second Kind*, 1997, sec. 4.2; Sloan & Smith, Numer. Math.
+  34 (1980) 387-401) on the fixed Gauss-Legendre nodes ``xi_i``: ``g`` is
+  replaced by its interpolant ``sum_j c_j P_j(2 xi - 1)`` (shifted Legendre
+  polynomials), whose kernel moments are closed-form products,
+
+      mu_j(s) = int_0^1 xi^(s-1) P_j(2 xi - 1) d xi
+              = prod_{i=1..j} (s - i) / prod_{i=0..j} (s + i).
+
+  Because ``P_j(1 - xi) = (-1)^j P_j(xi)``, the symmetric kernel
+  ``xi^(s-1) + (1-xi)^(s-1)`` keeps only even ``j`` and the antisymmetric
+  ``xi^(s-1) - (1-xi)^(s-1)`` only odd ``j``.  Only the weights depend on
+  the order; samples of ``g`` on the nodes serve every order.
 
 The h-moment integrals need no rule: every weight family has a closed form
 (see :mod:`hhfrac.certify`).
@@ -27,7 +41,8 @@ Numerical Algorithms*, sec. 3.1).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -49,6 +64,27 @@ NONCONVERGENCE_FACTOR = 100.0
 _FLOOR_EPS_MULTIPLE = 32.0
 
 
+#: One process-wide lock under which every cache of the package is filled:
+#: the rules here and the samples cached on a function.  Sweep rows run on
+#: pool threads; under the lock each entry is built exactly once.  It is
+#: re-entrant because building one entry may look up another.
+CACHE_LOCK = threading.RLock()
+
+
+def _shared_cache(fn):
+    """``lru_cache`` whose lookups and builds hold :data:`CACHE_LOCK`."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def locked(*args, **kwargs):
+        with CACHE_LOCK:
+            return cached(*args, **kwargs)
+
+    locked.cache_info = cached.cache_info
+    locked.cache_clear = cached.cache_clear
+    return locked
+
+
 def error_floor(magnitude: float) -> float:
     """Smallest honest error estimate for a sum whose terms total ``magnitude``.
 
@@ -60,7 +96,7 @@ def error_floor(magnitude: float) -> float:
     return _FLOOR_EPS_MULTIPLE * _EPS * (1.0 + abs(magnitude))
 
 
-@lru_cache(maxsize=None)
+@_shared_cache
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [0, 1]."""
     if n < 2:
@@ -97,7 +133,7 @@ _KERNEL_GRADING_BOOST = 4
 _FAR_END_GRADING = 4
 
 
-@lru_cache(maxsize=None)
+@_shared_cache
 def _simpson_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Simpson nodes/weights on [0, 1] with at least n+1 points."""
     m = max(2, 2 * ((n + 1) // 2))  # even number of cells
@@ -111,7 +147,7 @@ def _simpson_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-@lru_cache(maxsize=None)
+@_shared_cache
 def power_weighted_rule(
     order: float, n: int, scheme: str = "gauss"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +177,83 @@ def power_weighted_rule(
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
+
+
+#: Extended precision for the product weights (80-bit on x86; where
+#: ``longdouble`` is double, the rounding bound ``rho`` grows to match).
+_LD = np.longdouble
+_LD_EPS_RATIO = float(np.finfo(_LD).eps / np.finfo(np.float64).eps)
+
+
+def _legendre_ld(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@_shared_cache
+def _upper_roots_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``x >= 0`` of ``P_n`` and their weights on [0, 1], in extended
+    precision: one Newton step from the double nodes of
+    :func:`gauss_legendre_01`, which are within a few ulp.  The product
+    weights need the exact roots, because near an endpoint their kernel sums
+    grow steeply and amplify a one-ulp node error far beyond eps."""
+    xi, _ = gauss_legendre_01(n)
+    x = 2 * xi[n // 2:].astype(_LD) - 1
+    p, dp = _legendre_ld(x, n)
+    x = x - p / dp
+    _, dp = _legendre_ld(x, n)
+    return x, 1 / ((1 - x * x) * dp * dp)
+
+
+@_shared_cache
+def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product-integration weights on the nodes of :func:`gauss_legendre_01`.
+
+    Returns ``(omega, rho)`` with
+
+        sum_i omega_i g(xi_i) ~ 1/2 int_0^1 (xi^(order-1) + (-1)^parity
+                                             (1-xi)^(order-1)) g(xi) dxi,
+        omega_i = w_i sum_{j < n, j = parity mod 2} (2j+1) mu_j(order) P_j(2 xi_i - 1),
+
+    exact when ``g`` is a polynomial of degree below ``n``.  ``mu_j`` and
+    ``P_j`` come from their recurrences in O(n) memory, in extended
+    precision at the exact roots, on the upper half of the nodes (``P_j`` has
+    the parity of ``j``); the loop stops once ``mu_j`` vanishes (integer
+    orders).  ``rho_i = w_i sum_j (j+1) |(2j+1) mu_j P_j|``, scaled by the
+    ratio of the working eps to double eps, bounds the rounding of
+    ``omega_i`` in units of double eps: term ``j`` carries the rounding of
+    the ``j`` factors of ``mu_j`` and the ``j`` recurrence steps of ``P_j``.
+    For ``order < 1`` the terms cancel (their size grows like
+    ``n^(2 - 2 order)``); callers add ``rho`` to the summed magnitude they
+    hand to :func:`error_floor`.
+    """
+    x, w = _upper_roots_ld(n)
+    s = _LD(order)
+    mu = 1 / s
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    acc, mag = np.zeros_like(x), np.zeros_like(x)
+    for j in range(n):
+        if j:
+            mu *= (s - j) / (s + j)
+            if mu == 0:
+                break
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        if j % 2 == parity:
+            term = (2 * j + 1) * mu * p
+            acc += term
+            mag += (j + 1) * np.abs(term)
+    half_omega = (w * acc).astype(np.float64)
+    half_rho = (w * mag).astype(np.float64) * _LD_EPS_RATIO
+    sign = -1.0 if parity else 1.0
+    lower = slice(None, n // 2)
+    omega = np.concatenate((sign * half_omega[::-1][lower], half_omega))
+    rho = np.concatenate((half_rho[::-1][lower], half_rho))
+    omega.setflags(write=False)
+    rho.setflags(write=False)
+    return omega, rho
 
 
 def check_two_level(coarse: float, fine: float, magnitude: float,
