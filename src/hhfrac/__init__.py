@@ -35,7 +35,6 @@ from .fracquad import (
     Corner,
     FracOrder,
     Interval,
-    QuadratureScheme,
     QuadratureSpec,
     Rectangle,
     Side,
@@ -44,7 +43,6 @@ from .fracquad import (
 )
 from .funcspace import (
     BivariateFunction,
-    FDSpec,
     builtin_function,
     evaluate,
     format_expression,
@@ -67,10 +65,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BivariateFunction", "BoundReport", "ChainReport", "ConvexityCertificate",
     "Corner", "DivergentMomentError", "DomainError", "EvaluationError",
-    "ExpressionError", "ExpressionSyntaxError", "FDSpec", "FracOrder",
+    "ExpressionError", "ExpressionSyntaxError", "FracOrder",
     "HFamily", "HHFracError", "HWeight", "HolderExponents", "Interval",
     "LemmaReport", "OverflowDomainError", "QuadratureNonConvergenceError",
-    "QuadratureScheme", "QuadratureSpec", "Rectangle", "Side",
+    "QuadratureSpec", "Rectangle", "Side",
     "StepUnderflowError", "UnknownIdentifierError", "UsageError",
     "a_term", "beta", "builtin_function",
     "check_coordinate_h_convex", "corollary_moment_c1", "corollary_moment_c2",

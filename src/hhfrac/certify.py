@@ -35,10 +35,9 @@ with w_e / w_o the even / odd-parity weights.  The samples depend only on
 terms, both identity sides and every sweep row share them; only the weights
 depend on the orders.  Each quantity is computed at n and 2n nodes per axis;
 when the two differ by more than ``target_rel_tol * max(1, |value|)`` (an
-endpoint singularity of f, such as x^0.5, converges only algebraically;
-finite-difference noise in D can exceed the target at small n) that
-quantity falls back to the graded corner rules of :mod:`hhfrac.fracquad`,
-which also serve the ``graded-composite`` scheme.  The estimate of a
+endpoint singularity of f, such as x^0.5, converges only algebraically),
+that quantity falls back to the graded corner rules of
+:mod:`hhfrac.fracquad`.  The estimate of a
 product-rule value is the level gap plus the round-off floor of
 ``|w|^T |F| |w|``, with the weights' own rounding bound added to ``|w|``.
 
@@ -58,7 +57,6 @@ from .errors import DivergentMomentError, DomainError
 from .fracquad import (
     Corner,
     FracOrder,
-    QuadratureScheme,
     QuadratureSpec,
     Rectangle,
     Side,
@@ -66,7 +64,7 @@ from .fracquad import (
     frac_integral_2d_with_estimate,
     gauss_grid_samples,
 )
-from .funcspace import BivariateFunction, FDSpec, mixed_partial
+from .funcspace import BivariateFunction, mixed_partial
 from .hweights import HFamily, HWeight, h_eval, table_pieces
 from .quadrature import (
     check_two_level,
@@ -112,7 +110,6 @@ MOMENT_WEIGHT_NOTE = "moment weights pair each axis with its own order: t^(alpha
 KINK_NOTE = "f has a kink (abs); mixed-partial values near it are unreliable"
 
 _DEFAULT_SPEC = QuadratureSpec()
-_DEFAULT_FD = FDSpec()
 
 
 @dataclass(frozen=True)
@@ -186,17 +183,16 @@ def _as_bivariate(f) -> BivariateFunction:
 
 
 def _corner_values(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
-    return tuple(float(f(px, py)) for px, py in rect.corners())
+    return f.cached(("corners", rect),
+                    lambda: tuple(float(f(px, py)) for px, py in rect.corners()))
 
 
 # ---------------------------------------------------------------------------
 # product integration on one Gauss-Legendre grid
 # ---------------------------------------------------------------------------
 
-def _levels(spec: QuadratureSpec) -> tuple[int, ...]:
-    """Node counts of the product rule, or none for the graded-only scheme."""
-    if spec.scheme is not QuadratureScheme.GAUSS_LEGENDRE_DESINGULARIZED:
-        return ()
+def _levels(spec: QuadratureSpec) -> tuple[int, int]:
+    """Node counts of the two refinement levels."""
     return (spec.nodes_per_axis, 2 * spec.nodes_per_axis)
 
 
@@ -204,17 +200,25 @@ def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
     return fv.cached(("f", rect, n), lambda: gauss_grid_samples(fv, rect, n))
 
 
-def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int, fd: FDSpec) -> np.ndarray:
-    """The mixed partial on the n-point Gauss-Legendre grid of ``rect``."""
+#: Grid points per call of the mixed partial in :func:`_d_grid`: each node of
+#: a differentiated expression holds a temporary of the block's size.
+_D_BLOCK_POINTS = 1 << 14
+
+
+def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> np.ndarray:
+    """The mixed partial on the n-point Gauss-Legendre grid of ``rect``,
+    evaluated in blocks of rows."""
     def build():
         xi = gauss_legendre_01(n)[0]
         xs = rect.a + rect.x.width * xi
         ys = rect.c + rect.y.width * xi
-        # A function of one variable gives a (n, 1), (1, n) or scalar partial.
-        return np.broadcast_to(np.asarray(
-            mixed_partial(fv, xs[:, None], ys[None, :], fd, rect), dtype=float
-        ), (n, n))
-    return fv.cached(("d2f", rect, n, fd), build)
+        grid = np.empty((n, n))
+        step = max(1, _D_BLOCK_POINTS // n)
+        for i in range(0, n, step):
+            # A function of one variable gives a (k, 1), (1, n) or scalar partial.
+            grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :], rect)
+        return grid
+    return fv.cached(("d2f", rect, n), build)
 
 
 def _bilinear_form(wx, wy, grid: np.ndarray) -> tuple[float, float]:
@@ -236,8 +240,6 @@ def _product_estimate(levels, spec: QuadratureSpec, what: str):
     """``(value, error)`` from the ``(value, magnitude)`` of the two levels,
     or ``None`` when they disagree beyond the target and the caller falls
     back to the graded rules."""
-    if not levels:
-        return None
     (coarse, _), (fine, magnitude) = levels
     if abs(coarse - fine) > spec.target_rel_tol * max(1.0, abs(fine)):
         return None
@@ -267,14 +269,13 @@ def _product_a_term(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec)
     return _product_estimate(levels, spec, "product-rule A term")
 
 
-def _product_kernel_integral(fv, order: FracOrder, rect: Rectangle, fd: FDSpec,
-                             spec: QuadratureSpec):
+def _product_kernel_integral(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
     levels = []
     scale = rect.x.width * rect.y.width
     for n in _levels(spec):
         v, m = _bilinear_form(product_weights(order.alpha + 1.0, n, 1),
                               product_weights(order.beta + 1.0, n, 1),
-                              _d_grid(fv, rect, n, fd))
+                              _d_grid(fv, rect, n))
         levels.append((scale * v, scale * m))
     return _product_estimate(levels, spec, "product-rule derivative-kernel integral")
 
@@ -505,12 +506,11 @@ def theorem1_chain(
     )
 
 
-def _corner_derivatives(f: BivariateFunction, rect: Rectangle,
-                        fd: FDSpec) -> tuple[float, float, float, float]:
+def _corner_derivatives(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
     """|d^2 f / dx dy| at (a,c), (a,d), (b,c), (b,d)."""
-    return tuple(
-        abs(float(mixed_partial(f, px, py, fd, rect))) for px, py in rect.corners()
-    )
+    return f.cached(("corner-d2f", rect), lambda: tuple(
+        abs(float(mixed_partial(f, px, py, rect))) for px, py in rect.corners()
+    ))
 
 
 def _lhs_block_with_estimate(fv, order, rect, spec):
@@ -525,7 +525,6 @@ def theorem5_bound(
     h: HWeight,
     order: FracOrder,
     rect: Rectangle,
-    fd: FDSpec = _DEFAULT_FD,
     spec: QuadratureSpec = _DEFAULT_SPEC,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> BoundReport:
@@ -540,7 +539,7 @@ def theorem5_bound(
     lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     k1a, e_k1a = h_moment_m(h, order.alpha + 1.0)
     k1b, e_k1b = h_moment_m(h, order.beta + 1.0)
-    d_sum = sum(_corner_derivatives(fv, rect, fd))
+    d_sum = sum(_corner_derivatives(fv, rect))
     scale = rect.x.width * rect.y.width / 4.0
     rhs = scale * k1a * k1b * d_sum
     e_rhs = scale * d_sum * (e_k1a * k1b + k1a * e_k1b + e_k1a * e_k1b)
@@ -560,7 +559,6 @@ def theorem6_bound(
     order: FracOrder,
     rect: Rectangle,
     pq: HolderExponents,
-    fd: FDSpec = _DEFAULT_FD,
     spec: QuadratureSpec = _DEFAULT_SPEC,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> BoundReport:
@@ -577,7 +575,7 @@ def theorem6_bound(
     p, q = pq.p, pq.q
     prefactor = (rect.x.width * rect.y.width
                  / ((order.alpha * p + 1.0) * (order.beta * p + 1.0)) ** (1.0 / p))
-    d_q = sum(d**q for d in _corner_derivatives(fv, rect, fd))
+    d_q = sum(d**q for d in _corner_derivatives(fv, rect))
     s_sum = u * u * d_q
     e_sum = d_q * (2.0 * u * e_u + e_u * e_u)
     rhs = prefactor * s_sum ** (1.0 / q)
@@ -599,8 +597,7 @@ def theorem6_bound(
 # ---------------------------------------------------------------------------
 
 def _folded_derivative_integral(
-    fv: BivariateFunction, order: FracOrder, rect: Rectangle,
-    fd: FDSpec, spec: QuadratureSpec,
+    fv: BivariateFunction, order: FracOrder, rect: Rectangle, spec: QuadratureSpec,
 ) -> tuple[float, float]:
     """((b-a)(d-c)/4) * int int (t^a - (1-t)^a)(k^b - (1-k)^b) D(x(t), y(k)).
 
@@ -613,7 +610,7 @@ def _folded_derivative_integral(
     alpha + 1 and beta + 1 integrates it spectrally for smooth D.  The
     product rule on the cached Gauss-Legendre grid of D is tried first.
     """
-    product = _product_kernel_integral(fv, order, rect, fd, spec)
+    product = _product_kernel_integral(fv, order, rect, spec)
     if product is not None:
         return product
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
@@ -621,14 +618,14 @@ def _folded_derivative_integral(
     def dsamp(xs, ys):
         # A function of one variable gives a (n, 1), (1, n) or scalar partial.
         return np.broadcast_to(np.asarray(
-            mixed_partial(fv, xs[:, None], ys[None, :], fd, rect), dtype=float
+            mixed_partial(fv, xs[:, None], ys[None, :], rect), dtype=float
         ), (xs.size, ys.size))
 
     scale = 0.25 * rect.x.width * rect.y.width
     results = []
-    for n in (spec.nodes_per_axis, 2 * spec.nodes_per_axis):
-        ut, wt = power_weighted_rule(order.alpha + 1.0, n, spec.scheme.rule_name)
-        uk, wk = power_weighted_rule(order.beta + 1.0, n, spec.scheme.rule_name)
+    for n in _levels(spec):
+        ut, wt = power_weighted_rule(order.alpha + 1.0, n)
+        uk, wk = power_weighted_rule(order.beta + 1.0, n)
         xt = ut * a + (1.0 - ut) * b
         xmt = (1.0 - ut) * a + ut * b
         yk = uk * c + (1.0 - uk) * d
@@ -645,7 +642,6 @@ def lemma1_residual(
     f,
     order: FracOrder,
     rect: Rectangle,
-    fd: FDSpec = _DEFAULT_FD,
     spec: QuadratureSpec = _DEFAULT_SPEC,
 ) -> LemmaReport:
     """Verify the two-sided identity behind the derivative bounds.
@@ -658,7 +654,7 @@ def lemma1_residual(
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     lhs, _, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
-    rhs, e_rhs = _folded_derivative_integral(fv, order, rect, fd, spec)
+    rhs, e_rhs = _folded_derivative_integral(fv, order, rect, spec)
     residual = abs(lhs - rhs)
     qerr = e_lhs + e_rhs
     return LemmaReport(

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
@@ -40,22 +39,16 @@ from .fracquad import (
     Corner,
     FracOrder,
     Interval,
-    QuadratureScheme,
     QuadratureSpec,
     Rectangle,
     Side,
     frac_integral_1d_with_estimate,
     frac_integral_2d_with_estimate,
 )
-from .funcspace import (
-    FDSpec,
-    parse_function_spec,
-    univariate_from_source,
-    validate_mixed_partial,
-)
+from .funcspace import parse_function_spec, univariate_from_source
 from .hweights import check_coordinate_h_convex, parse_hweight
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SWEEP_COLUMNS = (
     "alpha", "beta", "s", "p", "theorem", "h", "function",
@@ -180,9 +173,7 @@ def _load_config_overrides(args: argparse.Namespace, allowed: tuple[str, ...]) -
 
 
 def _quad_spec(args) -> QuadratureSpec:
-    scheme = QuadratureScheme(args.scheme)
     return QuadratureSpec(nodes_per_axis=int(args.nodes),
-                          scheme=scheme,
                           target_rel_tol=float(args.rel_tol))
 
 
@@ -202,12 +193,9 @@ def _status_exit(status: str) -> int:
 # ---------------------------------------------------------------------------
 
 _VERIFY_FIELDS = ("theorem", "f", "rect", "alpha", "beta", "h", "p", "nodes",
-                  "rel_tol", "abs_tol", "fd_step", "scheme", "format", "output")
+                  "rel_tol", "abs_tol", "format", "output")
 
-_VERIFY_DEFAULTS = {
-    "nodes": 64, "rel_tol": 1e-9, "abs_tol": 1e-8, "fd_step": 1e-5,
-    "scheme": "gauss-legendre-desingularized", "format": "text",
-}
+_VERIFY_DEFAULTS = {"nodes": 64, "rel_tol": 1e-9, "abs_tol": 1e-8, "format": "text"}
 
 
 def _apply_defaults(args, defaults) -> None:
@@ -240,8 +228,6 @@ def _verify_config_dict(args) -> dict:
         "nodes": int(args.nodes),
         "rel_tol": float(args.rel_tol),
         "abs_tol": float(args.abs_tol),
-        "fd_step": float(args.fd_step),
-        "scheme": args.scheme,
         "format": args.format,
     }
 
@@ -257,7 +243,6 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
         rect = _rect(args)
         order = FracOrder(float(args.alpha), float(args.beta))
         spec = _quad_spec(args)
-        fd = FDSpec(step_relative=float(args.fd_step))
         f = parse(args.f)
         h = parse_hweight(args.h) if args.h is not None else None
         pq = HolderExponents.from_p(float(args.p)) if args.theorem == "t6" else None
@@ -270,8 +255,6 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
         rect.require_nonneg_origin()
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
-    if f.mixed_partial is not None:
-        validate_mixed_partial(f, rect, spec=fd)
 
     if args.theorem in ("t1", "t4"):
         if args.theorem == "t1":
@@ -287,9 +270,9 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
         return ("pass" if rep.passed else "fail"), result
     if args.theorem in ("t5", "t6"):
         if args.theorem == "t5":
-            rep = theorem5_bound(f, h, order, rect, fd, spec, abs_tol)
+            rep = theorem5_bound(f, h, order, rect, spec, abs_tol)
         else:
-            rep = theorem6_bound(f, h, order, rect, pq, fd, spec, abs_tol)
+            rep = theorem6_bound(f, h, order, rect, pq, spec, abs_tol)
         result = {
             "lhs_abs": rep.lhs_abs, "rhs": rep.rhs, "slack": rep.slack,
             "a_term": rep.a_term, "pass": rep.passed,
@@ -298,7 +281,7 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
         }
         return ("pass" if rep.passed else "fail"), result
     # lemma1
-    rep = lemma1_residual(f, order, rect, fd, spec)
+    rep = lemma1_residual(f, order, rect, spec)
     result = {
         "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
         "quadrature_error": rep.quadrature_error, "pass": rep.passed,
@@ -420,7 +403,7 @@ _SWEEP_FIELDS = _VERIFY_FIELDS + ("axis", "jobs")
 
 def _cmd_sweep(args) -> int:
     _load_config_overrides(args, _SWEEP_FIELDS)
-    _apply_defaults(args, {"format": "csv", "jobs": os.cpu_count() or 1})
+    _apply_defaults(args, {"format": "csv", "jobs": 1})
     _apply_defaults(args, _VERIFY_DEFAULTS)
     for required in ("theorem", "f", "rect"):
         if getattr(args, required) is None:
@@ -431,7 +414,7 @@ def _cmd_sweep(args) -> int:
         "theorem": args.theorem, "f": args.f, "rect": args.rect,
         "alpha": args.alpha, "beta": args.beta, "h": args.h, "p": args.p,
         "nodes": args.nodes, "rel_tol": args.rel_tol, "abs_tol": args.abs_tol,
-        "fd_step": args.fd_step, "scheme": args.scheme, "format": args.format,
+        "format": args.format,
     }
 
     combos = list(product(*(vals for _, vals in axes)))
@@ -572,13 +555,12 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 _FRAC_FIELDS = ("f1", "f", "alpha", "beta", "side", "corner", "interval",
-                "rect", "at", "nodes", "rel_tol", "scheme", "format", "output")
+                "rect", "at", "nodes", "rel_tol", "format", "output")
 
 
 def _cmd_frac(args) -> int:
     _load_config_overrides(args, _FRAC_FIELDS)
-    _apply_defaults(args, {"nodes": 64, "rel_tol": 1e-9, "format": "text",
-                           "scheme": "gauss-legendre-desingularized"})
+    _apply_defaults(args, {"nodes": 64, "rel_tol": 1e-9, "format": "text"})
     if (args.f1 is None) == (args.f is None):
         raise UsageError("give exactly one of --f1 (one variable) or --f (two variables)")
     if args.alpha is None:
@@ -609,7 +591,7 @@ def _cmd_frac(args) -> int:
             "f1": args.f1, "alpha": float(args.alpha), "side": args.side,
             "interval": [interval.lo, interval.hi], "at": float(args.at[0]),
             "nodes": int(args.nodes), "rel_tol": float(args.rel_tol),
-            "scheme": args.scheme, "format": args.format,
+            "format": args.format,
         }
     else:
         for required in ("beta", "corner", "rect", "at"):
@@ -636,7 +618,7 @@ def _cmd_frac(args) -> int:
             "corner": args.corner, "rect": [float(v) for v in args.rect],
             "at": [float(args.at[0]), float(args.at[1])],
             "nodes": int(args.nodes), "rel_tol": float(args.rel_tol),
-            "scheme": args.scheme, "format": args.format,
+            "format": args.format,
         }
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -667,8 +649,6 @@ def _add_quadrature(p: argparse.ArgumentParser) -> None:
                          f"levels use n and 2n (default 64, at most {MAX_NODES_PER_AXIS})"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
                    help="quadrature target relative tolerance (default 1e-9)")
-    p.add_argument("--scheme", default=None,
-                   choices=tuple(s.value for s in QuadratureScheme))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default=None)
     p.add_argument("--p", type=float, default=None, help="Hölder exponent (t6)")
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
     _add_quadrature(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
@@ -727,11 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
     p.add_argument("--axis", action="append", default=None, metavar="NAME=V1,V2,...",
                    help="sweep axis; repeatable; NAME in alpha, beta, s, p")
     p.add_argument("--jobs", type=int, default=None,
-                   help="concurrent rows (default: machine parallelism)")
+                   help="concurrent rows (default 1)")
     _add_quadrature(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)

@@ -44,7 +44,6 @@ __all__ = [
     "Interval",
     "Rectangle",
     "FracOrder",
-    "QuadratureScheme",
     "QuadratureSpec",
     "frac_integral_1d",
     "frac_integral_1d_with_estimate",
@@ -149,15 +148,6 @@ class FracOrder:
                 raise DomainError(f"fractional order {name} must be positive, got {v}")
 
 
-class QuadratureScheme(enum.Enum):
-    GAUSS_LEGENDRE_DESINGULARIZED = "gauss-legendre-desingularized"
-    GRADED_COMPOSITE = "graded-composite"
-
-    @property
-    def rule_name(self) -> str:
-        return "gauss" if self is QuadratureScheme.GAUSS_LEGENDRE_DESINGULARIZED else "simpson"
-
-
 #: Largest ``nodes_per_axis``.  The finer level samples a (2n)^2 grid (8 MB
 #: of float64 at the cap, before the evaluator's temporaries), and the
 #: rounding of the product weights for orders below one grows with ``n``.
@@ -167,7 +157,6 @@ MAX_NODES_PER_AXIS = 1024
 @dataclass(frozen=True)
 class QuadratureSpec:
     nodes_per_axis: int = 64
-    scheme: QuadratureScheme = QuadratureScheme.GAUSS_LEGENDRE_DESINGULARIZED
     target_rel_tol: float = 1e-9
 
     def __post_init__(self):
@@ -242,14 +231,14 @@ def gauss_grid_samples(f, rect: Rectangle, n: int
             _sample_2d(ev, xs, np.array([rect.c, rect.d])))
 
 
-def _axis_samples(order: float, side: Side, interval: Interval, at: float, n: int,
-                  scheme: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _axis_samples(order: float, side: Side, interval: Interval, at: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Sample points, weights and the kernel scale for one axis.
 
     Returns ``(points, weights, scale)`` with the axis contribution equal to
     ``scale * sum(weights * f(points))`` and ``scale = span^order / Gamma(order)``.
     """
-    u, w = power_weighted_rule(order, n, scheme)
+    u, w = power_weighted_rule(order, n)
     if side is Side.LEFT:
         span = at - interval.lo
         pts = at - span * u
@@ -287,7 +276,7 @@ def frac_integral_1d_with_estimate(
     ev = _as_evaluator(f)
     results = []
     for n in (spec.nodes_per_axis, 2 * spec.nodes_per_axis):
-        pts, w, scale = _axis_samples(order, side, interval, at, n, spec.scheme.rule_name)
+        pts, w, scale = _axis_samples(order, side, interval, at, n)
         vals = _sample_1d(ev, pts)
         results.append(scale * float(np.dot(w, vals)))
     magnitude = scale * float(np.dot(w, np.abs(vals)))  # rule weights are >= 0
@@ -331,10 +320,8 @@ def frac_integral_2d_with_estimate(
     ev = _as_evaluator(f)
     results = []
     for n in (spec.nodes_per_axis, 2 * spec.nodes_per_axis):
-        xs, wx, sx = _axis_samples(order.alpha, corner.x_side, rect.x, at[0], n,
-                                   spec.scheme.rule_name)
-        ys, wy, sy = _axis_samples(order.beta, corner.y_side, rect.y, at[1], n,
-                                   spec.scheme.rule_name)
+        xs, wx, sx = _axis_samples(order.alpha, corner.x_side, rect.x, at[0], n)
+        ys, wy, sy = _axis_samples(order.beta, corner.y_side, rect.y, at[1], n)
         vals = _sample_2d(ev, xs, ys)
         results.append(sx * sy * float(wx @ vals @ wy))
     magnitude = sx * sy * float(wx @ np.abs(vals) @ wy)

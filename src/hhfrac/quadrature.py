@@ -2,7 +2,8 @@
 
 Three rules cover every integral in the package:
 
-* Gauss-Legendre on [0, 1] (cached nodes).
+* Gauss-Legendre on [0, 1] (cached nodes, from Newton's method on the
+  Legendre recurrence in extended precision).
 * Power-weighted rules for integrals of the form
   ``int_0^1 s^(order-1) g(s) ds`` with ``order > 0``.  The substitution
   ``s = v^p`` with ``p = ceil(max(order, 1)) / order`` turns the kernel into
@@ -96,14 +97,52 @@ def error_floor(magnitude: float) -> float:
     return _FLOOR_EPS_MULTIPLE * _EPS * (1.0 + abs(magnitude))
 
 
+#: Extended precision for the Gauss-Legendre roots and the product weights
+#: (80-bit on x86; where ``longdouble`` is double, the rounding bound ``rho``
+#: of the product weights grows to match).
+_LD = np.longdouble
+_LD_EPS_RATIO = float(np.finfo(_LD).eps / np.finfo(np.float64).eps)
+
+
+def _legendre_ld(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@_shared_cache
+def _upper_roots_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``x >= 0`` of ``P_n``, ascending, and their weights on [0, 1],
+    in extended precision: Newton's method from Tricomi's approximation
+    ``cos(pi (k - 1/4) / (n + 1/2))``, with one more step once the steps
+    fall below 1e-10.  The product weights need the exact roots, because
+    near an endpoint their kernel sums grow steeply and amplify a one-ulp
+    node error far beyond eps."""
+    x = np.cos(np.pi * (np.arange((n + 1) // 2, 0, -1) - 0.25) / (n + 0.5)).astype(_LD)
+    for _ in range(100):
+        p, dp = _legendre_ld(x, n)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    p, dp = _legendre_ld(x, n)
+    x = x - p / dp
+    _, dp = _legendre_ld(x, n)
+    return x, 1 / ((1 - x * x) * dp * dp)
+
+
 @_shared_cache
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes and weights mapped to [0, 1], rounded from
+    :func:`_upper_roots_ld` and mirrored about 1/2."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
+    x, w = _upper_roots_ld(int(n))
+    lower = slice(None, n // 2)
+    nodes = np.concatenate(((1 - x[::-1][lower]) / 2, (1 + x) / 2)).astype(np.float64)
+    weights = np.concatenate((w[::-1][lower], w)).astype(np.float64)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -134,41 +173,18 @@ _FAR_END_GRADING = 4
 
 
 @_shared_cache
-def _simpson_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson nodes/weights on [0, 1] with at least n+1 points."""
-    m = max(2, 2 * ((n + 1) // 2))  # even number of cells
-    v = np.linspace(0.0, 1.0, m + 1)
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= 1.0 / (3.0 * m)
-    v.setflags(write=False)
-    w.setflags(write=False)
-    return v, w
-
-
-@_shared_cache
-def power_weighted_rule(
-    order: float, n: int, scheme: str = "gauss"
-) -> tuple[np.ndarray, np.ndarray]:
+def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (u, w) with ``sum w*g(u) ~ int_0^1 s^(order-1) g(s) ds``.
 
     The rule composes two gradings: ``v = 1 - (1 - r)^m`` clusters nodes at
     the far endpoint and ``u = v^p`` (with ``p * order`` an integer) removes
-    the kernel singularity exactly.  ``scheme`` is ``"gauss"`` (Gauss-Legendre
-    in the graded variable, the default) or ``"simpson"`` (composite Simpson
-    on the same grading, kept as an independent cross-check path).  Every
+    the kernel singularity exactly, with Gauss-Legendre nodes ``r``.  Every
     weight is non-negative, so ``sum w * |g(u)|`` is the summed term
     magnitude that :func:`error_floor` expects.
     """
     p = _KERNEL_GRADING_BOOST * grading_exponent(order)
     m = float(_FAR_END_GRADING)
-    if scheme == "gauss":
-        r, gw = gauss_legendre_01(n)
-    elif scheme == "simpson":
-        r, gw = _simpson_01(n)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    r, gw = gauss_legendre_01(n)
     omr = 1.0 - r
     v = 1.0 - omr**m
     u = v**p
@@ -177,35 +193,6 @@ def power_weighted_rule(
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
-
-
-#: Extended precision for the product weights (80-bit on x86; where
-#: ``longdouble`` is double, the rounding bound ``rho`` grows to match).
-_LD = np.longdouble
-_LD_EPS_RATIO = float(np.finfo(_LD).eps / np.finfo(np.float64).eps)
-
-
-def _legendre_ld(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence."""
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    for j in range(1, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (x * p - p_prev) / (x * x - 1)
-
-
-@_shared_cache
-def _upper_roots_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roots ``x >= 0`` of ``P_n`` and their weights on [0, 1], in extended
-    precision: one Newton step from the double nodes of
-    :func:`gauss_legendre_01`, which are within a few ulp.  The product
-    weights need the exact roots, because near an endpoint their kernel sums
-    grow steeply and amplify a one-ulp node error far beyond eps."""
-    xi, _ = gauss_legendre_01(n)
-    x = 2 * xi[n // 2:].astype(_LD) - 1
-    p, dp = _legendre_ld(x, n)
-    x = x - p / dp
-    _, dp = _legendre_ld(x, n)
-    return x, 1 / ((1 - x * x) * dp * dp)
 
 
 @_shared_cache

@@ -27,7 +27,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert rep["status"] == "pass"
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         r = rep["result"]
         assert r["left"] == pytest.approx(0.25, abs=1e-10)
         assert r["middle"] == pytest.approx(0.25, abs=1e-10)
@@ -41,6 +41,31 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert rep["result"]["residual"] <= 10.0 * rep["result"]["quadrature_error"]
+
+    def test_lemma1_exact_identity_holds_on_a_parsed_function(self, capsys):
+        # The mixed partial comes from the expression, so the identity holds
+        # to round-off; a stencil put ~1e-9 of noise into the rhs here.
+        code, rep = run_json(
+            capsys, "verify", "--theorem", "lemma1",
+            "--f", "exp(x+y)*sin(x*y)+x^3*y^2",
+            "--rect", "0", "1", "0", "1", "--alpha", "1", "--beta", "1.3",
+        )
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["result"]["residual"] <= 1e-12
+
+    def test_t5_parsed_and_builtin_powersum_agree(self, capsys):
+        # The corner derivatives of x^0.5 + y^0.5 are structural zeros: no
+        # evaluation at y < 0, no domain error.
+        results = []
+        for f in ("x^0.5 + y^0.5", "builtin:powersum:0.5"):
+            code, rep = run_json(
+                capsys, "verify", "--theorem", "t5", "--f", f,
+                "--rect", "0", "1", "0", "1", "--alpha", "1", "--beta", "1",
+                "--h", "power:0.5",
+            )
+            assert code == 0 and rep["status"] == "pass"
+            results.append(rep["result"])
+        assert results[0] == results[1]
 
     def test_t4_table_weight_error_is_round_off(self, capsys):
         table = Path(__file__).resolve().parents[1] / "perfbench" / "h_table.txt"
@@ -210,6 +235,7 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
         rep = json.loads(out1.read_text())
         assert rep["config"]["axes"]["alpha"] == [0.5, 1, 2]
+        assert rep["config"]["jobs"] == 1
 
     def test_empty_axis_list_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -267,3 +293,25 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as ei:
             main(["no-such-command"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--fd-step", "1e-5"),
+        ("sweep", "--fd-step", "1e-5"),
+        ("verify", "--scheme", "graded-composite"),
+        ("sweep", "--scheme", "graded-composite"),
+        ("frac-integrate", "--scheme", "graded-composite"),
+    ])
+    def test_removed_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(list(argv))
+        assert ei.value.code == 2
+
+    @pytest.mark.parametrize("field", ["fd_step", "scheme"])
+    def test_removed_config_fields_exit_2(self, capsys, tmp_path, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: 1e-5}))
+        code, _, err = run_cli(
+            capsys, "verify", "--theorem", "t1", "--f", "x*y", "--rect", "0", "1", "0", "1",
+            "--alpha", "1", "--beta", "1", "--config", str(cfg),
+        )
+        assert code == 2 and field in err

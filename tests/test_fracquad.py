@@ -9,7 +9,6 @@ from hhfrac.fracquad import (
     Corner,
     FracOrder,
     Interval,
-    QuadratureScheme,
     QuadratureSpec,
     Rectangle,
     Side,
@@ -110,13 +109,6 @@ class Test1D:
             lambda t: f(a + b - t), alpha, Side.LEFT, Interval(a, b), a + b - x
         )
         assert right == pytest.approx(mirrored, rel=1e-10)
-
-    def test_graded_composite_scheme_agrees(self):
-        spec = QuadratureSpec(nodes_per_axis=512, scheme=QuadratureScheme.GRADED_COMPOSITE,
-                              target_rel_tol=1e-6)
-        got = frac_integral_1d(np.exp, 0.5, Side.LEFT, UNIT, 1.0, spec)
-        ref = frac_integral_1d(np.exp, 0.5, Side.LEFT, UNIT, 1.0)
-        assert got == pytest.approx(ref, rel=1e-7)
 
     def test_at_domain_errors(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,13 @@ from hhfrac.funcspace import (
     BivariateFunction,
     Call,
     Div,
-    FDSpec,
     Mul,
     Neg,
     Num,
     Pow,
     Sub,
     Var,
+    _diff,
     builtin_function,
     evaluate,
     format_expression,
@@ -34,7 +35,6 @@ from hhfrac.funcspace import (
     parse_expression,
     parse_function_spec,
     parse_univariate,
-    validate_mixed_partial,
 )
 
 UNIT_SQ = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
@@ -213,30 +213,108 @@ class TestMixedPartial:
         assert f.mixed_partial is not None
         got = mixed_partial(f, 0.3, 0.7, rect=UNIT_SQ)
         assert got == pytest.approx(math.e, rel=1e-13)  # analytic path
-        fd = mixed_partial(BivariateFunction(f.evaluator), 0.3, 0.7,
-                           FDSpec(), UNIT_SQ)
+        fd = mixed_partial(BivariateFunction(f.evaluator), 0.3, 0.7, UNIT_SQ)
         assert fd == pytest.approx(2.71828182845905, rel=1e-6)
 
     def test_fd_consistency_invariant_all_builtins(self):
-        # |fd - analytic| / (1 + |analytic|) <= 1e-5 at 100 random points
+        # the stencil, the path of plain callables, against the hand-written
+        # partials: |fd - analytic| / (1 + |analytic|) <= 1e-5 at 100 points
+        rng = np.random.default_rng(7)
+        xs, ys = rng.uniform(0.01, 0.99, 100), rng.uniform(0.01, 0.99, 100)
         for name, params in (("product", ()), ("quadratic", ()),
                              ("biquadratic", ()), ("expsum", ()),
                              ("powersum", (0.5,)), ("bilinear", (1.0, 2.0, -1.0, 3.0))):
             f = builtin_function(name, *params)
-            worst = validate_mixed_partial(f, UNIT_SQ, n_points=100)
-            assert worst <= 1e-5, name
+            exact = f.mixed_partial(xs, ys)
+            fd = mixed_partial(f.evaluator, xs, ys, UNIT_SQ)
+            assert np.max(np.abs(fd - exact) / (1.0 + np.abs(exact))) <= 1e-5, name
+
+    @pytest.mark.parametrize("name, params, sym", [
+        ("product", (), "x*y"),
+        ("quadratic", (), "x**2 + y**2"),
+        ("biquadratic", (), "(x*y)**2"),
+        ("expsum", (), "exp(x + y)"),
+        ("powersum", (0.5,), "sqrt(x) + sqrt(y)"),
+        ("bilinear", (1.0, 2.0, -1.0, 3.0), "1 + 2*x - y + 3*x*y"),
+    ])
+    def test_builtin_partials_match_sympy(self, name, params, sym):
+        x, y = sp.symbols("x y", real=True)
+        want = sp.lambdify((x, y), sp.diff(sp.sympify(sym, locals={"x": x, "y": y}), x, y))
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(0.01, 1.0, 100), rng.uniform(0.01, 1.0, 100)
+        got = np.broadcast_to(builtin_function(name, *params).mixed_partial(xs, ys), xs.shape)
+        np.testing.assert_allclose(got, np.broadcast_to(want(xs, ys), xs.shape), rtol=1e-12)
 
     def test_step_underflow(self):
         f = builtin_function("product")
         with pytest.raises(StepUnderflowError):
-            mixed_partial(f if f.mixed_partial is None else BivariateFunction(f.evaluator),
-                          1e140, 1e140, FDSpec(step_relative=1e-5), UNIT_SQ)
+            mixed_partial(BivariateFunction(f.evaluator), 1e140, 1e140, UNIT_SQ)
 
-    def test_fd_spec_invariants(self):
-        with pytest.raises(DomainError):
-            FDSpec(step_relative=0.0)
-        with pytest.raises(DomainError):
-            FDSpec(step_relative=0.5)
+
+def _sympy(src: str):
+    """The parsed expression as a sympy expression over real x, y."""
+    x, y = sp.symbols("x y", real=True)
+    return sp.sympify(src.replace("^", "**"), locals={"x": x, "y": y, "abs": sp.Abs}), x, y
+
+
+class TestSymbolicDerivative:
+    # Points in [0.5, 1.5] x [1, 2]: away from the kink of abs(x - 2*y) and
+    # inside every domain.
+    CASES = (
+        "-x^3*y + x/y",
+        "x^2.5*y - y^3",
+        "x^(0-1.5)*y^2 - (x + 1)/(y^2 + 1)",
+        "x^y + pow(y, x)",
+        "pow(x*y, 3) + 2^(x*y)",
+        "exp(x*y)*log(x + y)",
+        "sin(x)*cos(x*y) + sqrt(x + 2*y)",
+        "abs(x - 2*y)*x*y",
+        "log(x*y + 1)/sqrt(x + y + 1)",
+        "exp(x+y)*sin(x*y)+x^3*y^2",
+    )
+
+    @pytest.mark.parametrize("src", CASES)
+    def test_matches_sympy(self, src):
+        sym, x, y = _sympy(src)
+        ast = parse_expression(src)
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(0.5, 1.5, 50), rng.uniform(1.0, 2.0, 50)
+        for got_ast, want in (
+            (_diff(ast, "x"), sp.diff(sym, x)),
+            (_diff(ast, "y"), sp.diff(sym, y)),
+            (_diff(_diff(ast, "x"), "y"), sp.diff(sym, x, y)),
+        ):
+            want = want.replace(sp.DiracDelta, lambda *_: 0)  # zero off the kink
+            ref = np.broadcast_to(sp.lambdify((x, y), want)(xs, ys), xs.shape)
+            got = np.broadcast_to(evaluate(got_ast, xs, ys), xs.shape)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, err_msg=f"{src}: {want}")
+
+    def test_parsed_function_carries_the_partial(self):
+        f = parse_function_spec("exp(x+y)*sin(x*y)+x^3*y^2")
+        sym, x, y = _sympy("exp(x+y)*sin(x*y)+x^3*y^2")
+        want = float(sp.diff(sym, x, y).subs({x: 0.3, y: 0.7}))
+        assert mixed_partial(f, 0.3, 0.7) == pytest.approx(want, rel=1e-14)
+
+    def test_structural_zero_on_the_axes(self):
+        f = parse_function_spec("x^0.5 + y^0.5")
+        assert mixed_partial(f, 0.0, 0.0) == 0.0
+        assert np.all(mixed_partial(f, np.array([0.0, 0.5]), np.array([0.0, 0.0])) == 0.0)
+
+    def test_domain_violation_names_the_derivative_subexpression(self):
+        f = parse_function_spec("x^0.5*y^0.5")
+        with pytest.raises(EvaluationDomainError, match="zero raised to a negative power"):
+            mixed_partial(f, 0.0, 0.0)
+
+    def test_constants_fold(self):
+        assert _diff(parse_expression("3*x^2 + 2*y"), "y") == Num(2.0)
+        assert _diff(_diff(parse_expression("x^3 + sin(y)"), "x"), "y") == Num(0.0)
+
+    def test_abs_differentiates_to_sign(self):
+        got = _diff(parse_expression("abs(x - y)"), "x")
+        assert got == Call("sign", (Sub(X, Y),))
+        assert evaluate(got, np.array([0.2, 0.9]), 0.5).tolist() == [-1.0, 1.0]
+        with pytest.raises(UnknownIdentifierError):
+            parse_expression("sign(x)")
 
 
 class TestBuiltins:

@@ -11,6 +11,7 @@ import sympy as sp
 
 import hhfrac.certify as certify
 import hhfrac.fracquad as fracquad
+import hhfrac.funcspace as funcspace
 import hhfrac.quadrature as quadrature
 from hhfrac.certify import (
     a_term_with_estimate,
@@ -21,13 +22,12 @@ from hhfrac.certify import (
 from hhfrac.cli import main
 from hhfrac.errors import DomainError
 from hhfrac.fracquad import MAX_NODES_PER_AXIS, FracOrder, QuadratureSpec, Rectangle
-from hhfrac.funcspace import BivariateFunction, FDSpec, parse_function_spec
+from hhfrac.funcspace import BivariateFunction, parse_function_spec
 from hhfrac.hweights import HWeight
 
 UNIT_SQ = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
 OFF_SQ = Rectangle.from_bounds(0.5, 2.0, 0.25, 1.5)
 SPEC = QuadratureSpec()
-FD = FDSpec()
 
 PRODUCT_PATHS = ("_product_middle", "_product_a_term", "_product_kernel_integral")
 SMOOTH = ("exp(x+y)", "x^2*y^2", "2+sin(5*x*y)", "exp(x+y)*sin(x*y)+x^3*y^2")
@@ -43,8 +43,8 @@ def graded(monkeypatch, fn, *args):
 
 
 def with_exact_partial(src: str) -> BivariateFunction:
-    """The parsed function with its mixed partial from sympy, so that the
-    derivative side carries no finite-difference noise."""
+    """The parsed function with its mixed partial from sympy, an oracle
+    independent of the expression's own derivative."""
     x, y = sp.symbols("x y")
     d2 = sp.lambdify((x, y), sp.diff(sp.sympify(src.replace("^", "**")), x, y), "numpy")
     return BivariateFunction(parse_function_spec(src).evaluator, mixed_partial=d2)
@@ -54,7 +54,7 @@ def quantities(f, order, rect):
     return (
         (middle_fractional_term_with_estimate, (f, order, rect, SPEC)),
         (a_term_with_estimate, (f, order, rect, SPEC)),
-        (certify._folded_derivative_integral, (f, order, rect, FD, SPEC)),
+        (certify._folded_derivative_integral, (f, order, rect, SPEC)),
     )
 
 
@@ -67,17 +67,12 @@ class TestAgreesWithGradedRules:
         order = FracOrder(*order)
         assert certify._product_middle(f, order, rect, SPEC) is not None
         assert certify._product_a_term(f, order, rect, SPEC) is not None
-        assert certify._product_kernel_integral(f, order, rect, FD, SPEC) is not None
+        assert certify._product_kernel_integral(f, order, rect, SPEC) is not None
         for fn, args in quantities(f, order, rect):
             value, err = fn(*args)
             ref, ref_err = graded(monkeypatch, fn, *args)
             assert value == pytest.approx(ref, rel=1e-11), fn.__name__
             assert abs(value - ref) <= err + ref_err, fn.__name__
-
-    def test_graded_composite_scheme_never_takes_the_product_rule(self):
-        spec = QuadratureSpec(scheme=fracquad.QuadratureScheme.GRADED_COMPOSITE)
-        f = with_exact_partial("exp(x+y)")
-        assert certify._product_middle(f, FracOrder(1.0, 1.0), UNIT_SQ, spec) is None
 
 
 class TestFallback:
@@ -154,6 +149,29 @@ class TestSweepSharesSamples:
         assert samples == [(32, 32), (2, 32), (32, 2), (64, 64), (2, 64), (64, 2)]
         assert partials == [(32, 32), (64, 64)]
         assert graded_rules == []
+
+
+    def test_mixed_partial_differentiated_once(self, monkeypatch, capsys):
+        calls = []
+        diff = funcspace._diff
+
+        def count_diff(expr, var):
+            calls.append(var)
+            return diff(expr, var)
+
+        monkeypatch.setattr(funcspace, "_diff", count_diff)
+        assert main(["verify", "--theorem", "t4", "--f", "exp(x+y)*sin(x*y)+x^3*y^2",
+                     "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1.3",
+                     "--h", "identity"]) == 0
+        capsys.readouterr()
+        assert calls == []
+        out = _sweep(capsys, "--theorem", "lemma1", "--f", "exp(x+y)*sin(x*y)+x^3*y^2",
+                     "--rect", "0", "1", "0", "1", "--axis", f"alpha={ALPHAS}",
+                     "--axis", f"beta={BETAS}")
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 72 and all(",true," in r for r in rows)
+        # one derivative AST for the whole sweep: d/dx, then d/dy of that
+        assert calls == ["x", "y"]
 
 
 CACHES = ("gauss_legendre_01", "power_weighted_rule", "_upper_roots_ld", "product_weights")
