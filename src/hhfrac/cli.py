@@ -46,7 +46,7 @@ from .fracquad import (
     frac_integral_2d_with_estimate,
 )
 from .funcspace import parse_function_spec, univariate_from_source
-from .hweights import check_coordinate_h_convex, parse_hweight
+from .hweights import MAX_GRID, check_coordinate_h_convex, parse_hweight
 
 SCHEMA_VERSION = 2
 
@@ -503,8 +503,8 @@ def _cmd_check(args) -> int:
     for required in ("f", "h", "rect"):
         if getattr(args, required) is None:
             raise UsageError(f"--{required} is required")
-    if int(args.grid) < 3:
-        raise UsageError(f"--grid must be >= 3, got {args.grid}")
+    if not 3 <= int(args.grid) <= MAX_GRID:
+        raise UsageError(f"--grid must lie in [3, {MAX_GRID}], got {args.grid}")
     try:
         rect = _rect(args)
         f = parse_function_spec(args.f)
@@ -677,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None)
     p.add_argument("--h", default=None, help="identity | power:<s> | one | gl | table:<path>")
     p.add_argument("--rect", nargs=4, type=float, default=None, metavar=("A", "B", "C", "D"))
-    p.add_argument("--grid", type=int, default=None, help="points per axis (default 17)")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"points per axis (default 17, at most {MAX_GRID})")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--concave", action="store_true", default=None,
                    help="check the reversed (h-concave) inequality")

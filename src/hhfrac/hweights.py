@@ -15,9 +15,11 @@ pass as "no violation found", never as a proof.
 The inequality is unchanged under (t, x, y) -> (1-t, y, x) and under
 (k, u, w) -> (1-k, w, u), and the t grid is symmetric, so the certifier
 evaluates only the pairs x <= y and u <= w and still covers every sampled
-configuration; ``samples_checked`` counts the configurations covered.  Its
-sweep runs in blocks of a fixed byte size, so memory stays bounded at any
-grid.
+configuration; ``samples_checked`` counts the configurations covered.  On a
+uniform grid the combination abscissas t*x + (1-t)*y take few distinct
+values, so f is evaluated once per distinct abscissa and the left sides are
+gathered from that table.  The sweep runs in blocks of a fixed byte size and
+the grid is at most :data:`MAX_GRID`, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "table_pieces",
     "ConvexityCertificate",
     "check_coordinate_h_convex",
+    "MAX_GRID",
     "inequality_deficit",
     "parse_hweight",
     "load_table",
@@ -210,10 +213,14 @@ def parse_hweight(text: str) -> HWeight:
 # ---------------------------------------------------------------------------
 
 #: Size bound of one float64 block of the certifier's sweep.  A few blocks
-#: are alive at once (the left side, the right side, the two gathered halves
-#: and the evaluator's temporaries), so peak memory is a small multiple of it
-#: at any grid.
+#: are alive at once (the table of left sides, the two block buffers, the two
+#: gathered halves of the right side and the evaluator's temporaries), so
+#: peak memory is a small multiple of it at any grid.
 _BLOCK_BYTES = 1 << 18
+
+#: Largest ``grid`` the certifier accepts.  A few of its arrays hold
+#: O(grid^3) values, about 1 MB each at 64, and its time grows as grid^6.
+MAX_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -282,12 +289,16 @@ def check_coordinate_h_convex(
     (k, u, w) -> (1-k, w, u), and the t grid is symmetric, so these cover
     every configuration and the witness of a fail has that canonical order.
     ``samples_checked`` counts the configurations covered, ``len(t)^2 *
-    grid^4``; f is evaluated at ``len(t)^2 * (grid(grid+1)/2)^2`` combination
-    points.  The sweep works in blocks of at most ``_BLOCK_BYTES`` per array,
-    so its memory does not grow with the grid.
+    grid^4``.  f is evaluated once per distinct combination abscissa
+    t*x + (1-t)*y and combination ordinate k*u + (1-k)*w, ``len(t) *
+    len(unique abscissas) * grid(grid+1)/2`` points, and each left side is
+    gathered from that table; on the unit square at grid 17 these are 257
+    abscissas instead of 2601 (t, pair) combinations.  The sweep works in
+    blocks of at most ``_BLOCK_BYTES`` per array and ``grid`` may not
+    exceed :data:`MAX_GRID`, so its memory stays bounded.
     """
-    if grid < 3:
-        raise DomainError(f"grid must be >= 3, got {grid}")
+    if not 3 <= grid <= MAX_GRID:
+        raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
     if direction not in ("convex", "concave"):
         raise DomainError(f"direction must be 'convex' or 'concave', got {direction!r}")
     ev = getattr(f, "evaluator", f)
@@ -310,49 +321,71 @@ def check_coordinate_h_convex(
     hmt = ht[::-1]  # the grid is symmetric, so h(1 - t_i) = h(t_{n-1-i}) exactly
 
     i1, i2 = np.triu_indices(g)  # index pairs i1 <= i2, for both axes
-    npair = i1.size
-    xa, xb = xg[i1], xg[i2]
-    # Combination ordinates k*u + (1-k)*w for every (k, ordinate pair).
+    npair, nt = i1.size, tg.size
+    # Combination abscissas t*x + (1-t)*y for every (t, abscissa pair) and
+    # ordinates k*u + (1-k)*w for every (k, ordinate pair).
+    X = tg[:, None] * xg[i1] + (1.0 - tg)[:, None] * xg[i2]
     Y = tg[:, None] * yg[i1] + (1.0 - tg)[:, None] * yg[i2]
-    # Blocks are (k, abscissa pair, ordinate pair); split k first, then the
-    # abscissa pairs once a single k-slice exceeds the budget.
-    per_pair = npair * 8
-    pc = min(npair, max(1, _BLOCK_BYTES // per_pair))
-    kc = max(1, _BLOCK_BYTES // (pc * per_pair))
+    # Few abscissas are distinct on a uniform grid, so for each k, f fills a
+    # table over (distinct abscissa, ordinate pair), and every left side is
+    # gathered from it: L[t, p, q] = table[IX[t, p], q].
+    ux, IX = np.unique(X, return_inverse=True)
+    IX = IX.reshape(X.shape)
+    # The table is split into nq equal chunks of ordinate pairs that fit the
+    # budget; the blocks (t, abscissa pair, ordinate pair) of one k follow
+    # that split and then split the abscissa pairs and t.
+    size = max(1, _BLOCK_BYTES // 8)
+    nq = -(-npair // max(1, size // ux.size))
+    qc = -(-npair // nq)
+    pc = min(npair, max(1, size // qc))
+    tc = min(nt, max(1, size // (pc * qc)))
 
+    # Two block buffers for the whole sweep: fresh block-sized arrays would
+    # go back to the system after every block and be faulted in again.
+    buf_d, buf_l = np.empty((2, tc * pc * qc))
     max_abs_f = float(np.abs(F).max())
     worst = -math.inf
     worst_idx = None
-    for k0 in range(0, tg.size, kc):
-        ks = slice(k0, k0 + kc)
+    for k in range(nt):
         # Ordinate half of the right side, shared by every t:
-        # G[k, i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q].
-        G = ht[ks, None, None] * F[None, :, i1] + hmt[ks, None, None] * F[None, :, i2]
-        Yk = Y[ks, None, :]
-        for p0 in range(0, npair, pc):
-            ps = slice(p0, p0 + pc)
-            G1, G2 = G[:, i1[ps], :], G[:, i2[ps], :]
-            for it, t in enumerate(tg):
-                X = t * xa[ps] + (1.0 - t) * xb[ps]
-                L = np.asarray(ev(X[None, :, None], Yk), dtype=float)
-                lo, hi = float(L.min()), float(L.max())  # NaN propagates
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise EvaluationError("f is not finite at a sampled combination point")
-                max_abs_f = max(max_abs_f, -lo, hi)
-                D = ht[it] * G1
-                D += hmt[it] * G2
-                if direction == "concave":
-                    np.subtract(D, L, out=D)
-                else:
-                    np.subtract(L, D, out=D)
-                m = float(D.max())
-                if m >= worst:
-                    ik, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
-                    idx = (it, k0 + int(ik), p0 + int(ip), int(iq))
+        # G[i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q].
+        G = ht[k] * F[:, i1] + hmt[k] * F[:, i2]
+        for q0 in range(0, npair, qc):
+            qs = slice(q0, q0 + qc)
+            Yq = Y[k, qs]
+            Lk = np.asarray(ev(ux[:, None], Yq[None, :]), dtype=float)
+            lo, hi = float(Lk.min()), float(Lk.max())  # NaN propagates
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise EvaluationError("f is not finite at a sampled combination point")
+            max_abs_f = max(max_abs_f, -lo, hi)
+            Lk = np.broadcast_to(Lk, (ux.size, Yq.size))
+            for p0 in range(0, npair, pc):
+                ps = slice(p0, p0 + pc)
+                G1, G2 = G[i1[ps], qs], G[i2[ps], qs]
+                for t0 in range(0, nt, tc):
+                    ts = slice(t0, t0 + tc)
+                    shape = (len(ht[ts]),) + G1.shape
+                    n = math.prod(shape)
+                    D = np.multiply(ht[ts, None, None], G1, out=buf_d[:n].reshape(shape))
+                    L = np.multiply(hmt[ts, None, None], G2, out=buf_l[:n].reshape(shape))
+                    D += L
+                    # L now takes the left sides; every index is in range,
+                    # and mode "raise" would buffer ``out`` on every call.
+                    Lk.take(IX[ts, ps], axis=0, out=L, mode="clip")
+                    if direction == "concave":
+                        np.subtract(D, L, out=D)
+                    else:
+                        np.subtract(L, D, out=D)
+                    m = float(D.max())
                     # Ties go to the first configuration in (t, k, pair,
-                    # pair) order, so the witness does not depend on blocks.
-                    if worst_idx is None or m > worst or idx < worst_idx:
-                        worst, worst_idx = m, idx
+                    # pair) order, so the witness does not depend on blocks;
+                    # (t0, k, p0, q0) is the first of this block.
+                    if (worst_idx is None or m > worst
+                            or (m == worst and (t0, k, p0, q0) < worst_idx)):
+                        it, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
+                        idx = (t0 + int(it), k, p0 + int(ip), q0 + int(iq))
+                        if worst_idx is None or m > worst or idx < worst_idx:
+                            worst, worst_idx = m, idx
 
     if tol is None:
         tol = 1e-10 * (1.0 + max_abs_f)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,19 @@ class TestCheckHConvexCommand:
             "--rect", "0", "1", "0", "1", "--grid", "2",
         )
         assert code == 2 and "--grid" in err
+
+    def test_huge_grid_is_usage_error_in_bounded_memory(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "check-hconvex", "--f", "x*y", "--h", "identity",
+                "--rect", "0", "1", "0", "1", "--grid", "100000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "--grid" in err
+        assert peak < 1 << 20
 
 
 class TestSweepCommand:

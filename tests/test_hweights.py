@@ -215,6 +215,11 @@ class TestCertifier:
             check_coordinate_h_convex(builtin_function("product"),
                                       HWeight.identity(), UNIT_SQ, grid=2)
 
+    def test_grid_maximum(self):
+        with pytest.raises(DomainError, match="grid must lie in"):
+            check_coordinate_h_convex(builtin_function("product"), HWeight.identity(),
+                                      UNIT_SQ, grid=hweights.MAX_GRID + 1)
+
     def test_default_tolerance_scales_with_f(self):
         f = builtin_function("bilinear", 0.0, 0.0, 0.0, 1e6)
         cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
@@ -246,23 +251,42 @@ WEIGHTS = {
 }
 
 
-def brute_force_certificate(f, hf, g, finite_at_endpoints, direction):
+def brute_force_certificate(f, hf, g, finite_at_endpoints, direction, rect=UNIT_SQ):
     """Worst deficit and default tolerance over all g^6 configurations
-    (t, k, x, y, u, w) of the unit-square grid, no symmetry used."""
-    xs = np.linspace(0.0, 1.0, g)
-    ts = xs if finite_at_endpoints else xs[1:-1]
+    (t, k, x, y, u, w) of the rectangle's grid, no symmetry used."""
+    xs = np.linspace(rect.a, rect.b, g)
+    ys = np.linspace(rect.c, rect.d, g)
+    ts = np.linspace(0.0, 1.0, g)
+    if not finite_at_endpoints:
+        ts = ts[1:-1]
     T = ts[:, None, None, None, None, None]
     K = ts[None, :, None, None, None, None]
     X = xs[None, None, :, None, None, None]
     Y = xs[None, None, None, :, None, None]
-    U = xs[None, None, None, None, :, None]
-    W = xs[None, None, None, None, None, :]
+    U = ys[None, None, None, None, :, None]
+    W = ys[None, None, None, None, None, :]
     lhs = f(T * X + (1 - T) * Y, K * U + (1 - K) * W)
     rhs = (hf(T) * hf(K) * f(X, U) + hf(K) * hf(1 - T) * f(Y, U)
            + hf(T) * hf(1 - K) * f(X, W) + hf(1 - T) * hf(1 - K) * f(Y, W))
     deficit = rhs - lhs if direction == "concave" else lhs - rhs
-    max_abs = max(np.abs(f(xs[:, None], xs[None, :])).max(), np.abs(lhs).max())
+    max_abs = max(np.abs(f(xs[:, None], ys[None, :])).max(), np.abs(lhs).max())
     return float(deficit.max()), 1e-10 * (1.0 + float(max_abs))
+
+
+def assert_matches_brute_force(src, weight, direction, g, rect):
+    h, hf = WEIGHTS[weight]
+    f = parse_function_spec(src)
+    worst, tol = brute_force_certificate(f, hf, g, h.finite_at_endpoints, direction, rect)
+    cert = check_coordinate_h_convex(f, h, rect, grid=g, direction=direction)
+    assert cert.tol == pytest.approx(tol, rel=1e-12)
+    assert cert.passed == (worst <= tol)
+    if cert.passed:
+        assert cert.worst_violation == 0.0 and cert.witness is None
+        return
+    assert cert.worst_violation == pytest.approx(worst, abs=1e-12)
+    t, k, (x, u), (y, w) = cert.witness
+    assert x <= y and u <= w
+    assert inequality_deficit(f, h, t, k, (x, u), (y, w), direction) > cert.tol
 
 
 class TestCertifierKernel:
@@ -271,19 +295,16 @@ class TestCertifierKernel:
     @pytest.mark.parametrize("weight", sorted(WEIGHTS))
     @pytest.mark.parametrize("src", ["exp(x+y)", "2+sin(5*x*y)", "x^2", "3"])
     def test_matches_brute_force(self, src, weight, direction, g):
-        h, hf = WEIGHTS[weight]
-        f = parse_function_spec(src)
-        worst, tol = brute_force_certificate(f, hf, g, h.finite_at_endpoints, direction)
-        cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g, direction=direction)
-        assert cert.tol == pytest.approx(tol, rel=1e-12)
-        assert cert.passed == (worst <= tol)
-        if cert.passed:
-            assert cert.worst_violation == 0.0 and cert.witness is None
-            return
-        assert cert.worst_violation == pytest.approx(worst, abs=1e-12)
-        t, k, (x, u), (y, w) = cert.witness
-        assert x <= y and u <= w
-        assert inequality_deficit(f, h, t, k, (x, u), (y, w), direction) > cert.tol
+        assert_matches_brute_force(src, weight, direction, g, UNIT_SQ)
+
+    @pytest.mark.parametrize("g", [7, 9])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    @pytest.mark.parametrize("src", ["exp(x+y)", "x^2", "3"])
+    def test_matches_brute_force_on_a_non_dyadic_rectangle(self, src, weight, direction, g):
+        # few combination abscissas coincide here, unlike on the unit square
+        assert_matches_brute_force(src, weight, direction, g,
+                                   Rectangle.from_bounds(0.3, 1.7, -0.9, 2.3))
 
     @pytest.mark.parametrize("direction", ["convex", "concave"])
     def test_negative_combination_values_set_the_tolerance(self, direction):
@@ -318,6 +339,7 @@ class TestCertifierKernel:
     @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()])
     def test_evaluates_only_canonical_pairs(self, h):
         g = 7
+        npair = g * (g + 1) // 2
         points = []
 
         def f(x, y):
@@ -325,10 +347,15 @@ class TestCertifierKernel:
             return np.exp(x + y)
 
         cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g)
-        nt = g if h.finite_at_endpoints else g - 2
+        xs = np.linspace(0.0, 1.0, g).tolist()
+        ts = xs if h.finite_at_endpoints else xs[1:-1]
+        nt = len(ts)
+        abscissas = {t * xs[i] + (1.0 - t) * xs[j]
+                     for t in ts for i in range(g) for j in range(i, g)}
         assert cert.passed and cert.samples_checked == nt**2 * g**4
         assert points[0] == g * g  # the grid itself
-        assert sum(points[1:]) == nt**2 * (g * (g + 1) // 2) ** 2
+        assert sum(points[1:]) == nt * len(abscissas) * npair
+        assert nt * len(abscissas) * npair < nt**2 * npair**2  # every canonical pair
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("lo, hi, match", [
