@@ -59,6 +59,11 @@ SWEEP_COLUMNS = (
 
 _SWEEP_AXES = ("alpha", "beta", "s", "p")
 
+#: Most rows a sweep may have.  Every row's configuration and result are held
+#: until the output is written, so the product of the axis lengths is checked
+#: before any row is built.
+MAX_SWEEP_ROWS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # deterministic emission
@@ -417,6 +422,9 @@ def _cmd_sweep(args) -> int:
         "format": args.format,
     }
 
+    rows = math.prod(len(vals) for _, vals in axes)
+    if rows > MAX_SWEEP_ROWS:
+        raise UsageError(f"--axis: the axes give {rows} rows, at most {MAX_SWEEP_ROWS}")
     combos = list(product(*(vals for _, vals in axes)))
     row_configs = []
     for combo in combos:
@@ -708,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     p.add_argument("--axis", action="append", default=None, metavar="NAME=V1,V2,...",
-                   help="sweep axis; repeatable; NAME in alpha, beta, s, p")
+                   help=("sweep axis; repeatable; NAME in alpha, beta, s, p; "
+                         f"at most {MAX_SWEEP_ROWS} rows in all"))
     p.add_argument("--jobs", type=int, default=None,
                    help="concurrent rows (default 1)")
     _add_quadrature(p)

@@ -18,8 +18,17 @@ evaluates only the pairs x <= y and u <= w and still covers every sampled
 configuration; ``samples_checked`` counts the configurations covered.  On a
 uniform grid the combination abscissas t*x + (1-t)*y take few distinct
 values, so f is evaluated once per distinct abscissa and the left sides are
-gathered from that table.  The sweep runs in blocks of a fixed byte size and
-the grid is at most :data:`MAX_GRID`, so memory stays bounded.
+gathered from that table.
+
+Most passes are settled without comparing every configuration.  With
+v = k*u + (1-k)*w each deficit splits exactly into the deficit in x of the
+section f(., v) plus h(t) and h(1-t) times deficits in y of the sections
+f(x, .) at grid abscissas (the partial-mapping form of coordinate convexity).
+When the largest section deficits, combined, stay within the tolerance after
+a rounding margin, the sweep could find no violation and the certificate is
+its pass; otherwise the sweep of every configuration runs and locates the
+witness.  Both run in blocks of a fixed byte size and the grid is at most
+:data:`MAX_GRID`, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -219,8 +228,11 @@ def parse_hweight(text: str) -> HWeight:
 _BLOCK_BYTES = 1 << 18
 
 #: Largest ``grid`` the certifier accepts.  A few of its arrays hold
-#: O(grid^3) values, about 1 MB each at 64, and its time grows as grid^6.
+#: O(grid^3) values, about 1 MB each at 64.  Its time grows as grid^5 for a
+#: pass the sections settle (about 4 s at 64) and as grid^6 for the sweep.
 MAX_GRID = 64
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -267,6 +279,144 @@ def inequality_deficit(f, h: HWeight, t: float, k: float,
     return -deficit if direction == "concave" else deficit
 
 
+def _tolerance(tol: Optional[float], max_abs_f: float) -> float:
+    return 1e-10 * (1.0 + max_abs_f) if tol is None else tol
+
+
+def _pass_certificate(samples: int, tol: float, g: int) -> ConvexityCertificate:
+    return ConvexityCertificate(
+        verdict="pass", samples_checked=samples, worst_violation=0.0,
+        tol=tol, grid=g,
+        message=(f"no violation found on {samples} sampled configurations "
+                 f"(grid {g} per axis); sampled check only, not a proof"),
+    )
+
+
+def _section_bound(d1: float, d2: float, hsum: float, scale: float) -> float:
+    """Upper bound on every sampled deficit, as the sweep computes it, from
+    the largest section deficits ``d1`` (in x) and ``d2`` (in y).
+
+    ``d2`` enters clamped at 0: its weights h(t) and h(1-t) sum to at most
+    ``hsum`` but vary with t, so ``hsum * d2`` under-bounds them when d2 < 0.
+
+    The margin covers rounding, with u = eps/2 and S = ``scale`` the largest
+    |f| that enters (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Sec. 3.1).  With H = ``hsum`` the first-order terms, in
+    units of u*S, are: the sweep's h(t)G1 + h(1-t)G2 and its subtraction from
+    the left side, 2H^2 + 1 + H^2; the computed d1, 3(1 + H); the computed
+    d2 under weights summing to H, H(1 + H); ``hsum`` rounded, H(1 + H); and
+    the three operations of the bound, 3(1 + H)^2.  In all at most
+    11(1 + H)^2 u S = 5.5(1 + H)^2 eps S; the factor 8 leaves room for the
+    second-order terms and for one rounding unit between two evaluations of
+    f at the same point.
+    """
+    margin = 8.0 * _EPS * (1.0 + scale) * (1.0 + hsum) ** 2
+    return d1 + hsum * max(d2, 0.0) + margin
+
+
+def _eval_table(ev, xs: np.ndarray, ys: np.ndarray):
+    """f over xs x ys, expanded to that shape, and its largest |f|; None
+    where f raises or is not finite, so that the sweep decides."""
+    try:
+        vals = np.asarray(ev(xs[:, None], ys[None, :]), dtype=float)
+    except Exception:  # the sweep evaluates f again and raises as it always has
+        return None
+    lo, hi = float(vals.min()), float(vals.max())  # NaN propagates
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    return np.broadcast_to(vals, (xs.size, ys.size)), max(-lo, hi)
+
+
+def _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction):
+    """The tolerance of the pass the sweep would certify, if a bound settles
+    it without the sweep; None when the bound cannot.
+
+    Write v = k*u + (1-k)*w.  For any h every sampled deficit splits exactly
+    into d1(t, x, y; v) + h(t) d2(x; k, u, w) + h(1-t) d2(y; k, u, w), where
+    d1 = f(t*x + (1-t)*y, v) - h(t) f(x, v) - h(1-t) f(y, v) is the deficit
+    in x of the section f(., v), and d2 = f(x_i, v) - G the deficit in y of
+    f(x_i, .) against the sweep's ordinate half G of the right side.  As h >=
+    0, every deficit is at most :func:`_section_bound` of the largest d1 and
+    d2; the concave direction negates both (Dragomir, Taiwanese J. Math. 5
+    (2001) 775-788, for the partial-mapping form of coordinate convexity).
+
+    The sections are evaluated at the sweep's own float abscissas ``ux`` and
+    ordinates v, so the table T = f(ux, v) holds exactly the sweep's left
+    sides and max |f| over F and T is the sweep's.  f(x_i, v) is evaluated
+    too; for a weight infinite at t in {0, 1} these are not sweep points, so
+    they stay out of the tolerance, and if f fails there the sweep decides.
+    The ordinates are walked in chunks within ``_BLOCK_BYTES``; a chunk takes
+    its d2 first, and the walk stops as soon as the bound exceeds the
+    tolerance, which only hands the case to the sweep.
+    """
+    g, npair, nt = xg.size, i1.size, ht.size
+    uy, IY = np.unique(Y, return_inverse=True)
+    IY = IY.ravel()
+    # (k, ordinate pair) configurations, flat index k*npair + q, grouped by v.
+    by_v = np.argsort(IY, kind="stable")
+    v_start = np.searchsorted(IY[by_v], np.arange(uy.size + 1))
+    hsum = float((ht + hmt).max())
+    concave = direction == "concave"
+
+    size = max(1, _BLOCK_BYTES // 8)
+    # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
+    # evaluation holds a few temporaries of its size.
+    nv = -(-uy.size // max(1, size // (2 * max(ux.size, npair))))
+    vc = -(-uy.size // nv)
+    tc = min(nt, max(1, size // (npair * vc)))
+    sc = max(1, size // g)  # configurations per d2 block
+    buf_d, buf_l = np.empty((2, tc * npair * vc))
+
+    max_abs_f = float(np.abs(F).max())
+    scale = max_abs_f
+    d1 = d2 = -math.inf
+
+    def exceeded(m):
+        # NaN in m or in the bound lands here too.
+        bound = _section_bound(d1, d2, hsum, scale)
+        return not (math.isfinite(m) and bound <= _tolerance(tol, max_abs_f))
+
+    for v0 in range(0, uy.size, vc):
+        vs = uy[v0:v0 + vc]
+        got = _eval_table(ev, xg, vs)
+        if got is None:
+            return None
+        Fx, fx_max = got
+        scale = max(scale, fx_max)
+        for s0 in range(v_start[v0], v_start[v0 + vs.size], sc):
+            sel = by_v[s0:min(s0 + sc, v_start[v0 + vs.size])]
+            ks, qs = np.divmod(sel, npair)
+            # The sweep's G, element by element the same float operations.
+            G = ht[ks] * F[:, i1[qs]] + hmt[ks] * F[:, i2[qs]]
+            D = np.subtract(Fx[:, IY[sel] - v0], G, out=G)
+            m = -float(D.min()) if concave else float(D.max())
+            d2 = max(d2, m)
+            if exceeded(m):
+                return None
+
+        got = _eval_table(ev, ux, vs)
+        if got is None:
+            return None
+        T, t_max = got
+        max_abs_f = max(max_abs_f, t_max)
+        scale = max(scale, max_abs_f)
+        A1, A2 = Fx[i1], Fx[i2]
+        for t0 in range(0, nt, tc):
+            ts = slice(t0, t0 + tc)
+            shape = (len(ht[ts]),) + A1.shape
+            n = math.prod(shape)
+            D = np.multiply(ht[ts, None, None], A1, out=buf_d[:n].reshape(shape))
+            L = np.multiply(hmt[ts, None, None], A2, out=buf_l[:n].reshape(shape))
+            D += L
+            T.take(IX[ts], axis=0, out=L, mode="clip")
+            np.subtract(L, D, out=D)
+            m = -float(D.min()) if concave else float(D.max())
+            d1 = max(d1, m)
+            if exceeded(m):
+                return None
+    return _tolerance(tol, max_abs_f)
+
+
 def check_coordinate_h_convex(
     f,
     h: HWeight,
@@ -289,13 +439,21 @@ def check_coordinate_h_convex(
     (k, u, w) -> (1-k, w, u), and the t grid is symmetric, so these cover
     every configuration and the witness of a fail has that canonical order.
     ``samples_checked`` counts the configurations covered, ``len(t)^2 *
-    grid^4``.  f is evaluated once per distinct combination abscissa
-    t*x + (1-t)*y and combination ordinate k*u + (1-k)*w, ``len(t) *
-    len(unique abscissas) * grid(grid+1)/2`` points, and each left side is
-    gathered from that table; on the unit square at grid 17 these are 257
-    abscissas instead of 2601 (t, pair) combinations.  The sweep works in
-    blocks of at most ``_BLOCK_BYTES`` per array and ``grid`` may not
-    exceed :data:`MAX_GRID`, so its memory stays bounded.
+    grid^4``.
+
+    A pass is settled first by the sections (:func:`_section_test`): f is
+    evaluated on the distinct combination abscissas t*x + (1-t)*y times the
+    distinct combination ordinates k*u + (1-k)*w, and on the grid abscissas
+    times those ordinates, ``(len(ux) + grid) * len(uy)`` points; on the unit
+    square at grid 17 these are 257 of each instead of 2601 (t, pair)
+    combinations.  If the section bound stays within the tolerance the pass
+    is returned as the sweep would give it: ``worst_violation`` 0.0, the same
+    ``tol``, ``samples_checked`` and message.  Otherwise the sweep compares
+    every configuration, evaluating f at ``len(t) * len(ux) *
+    grid(grid+1)/2`` points, one table per k, and gathers each left side
+    from it; its verdict, worst violation and witness are the certificate.
+    Both work in blocks of at most ``_BLOCK_BYTES`` per array and ``grid``
+    may not exceed :data:`MAX_GRID`, so memory stays bounded.
     """
     if not 3 <= grid <= MAX_GRID:
         raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
@@ -331,6 +489,11 @@ def check_coordinate_h_convex(
     # gathered from it: L[t, p, q] = table[IX[t, p], q].
     ux, IX = np.unique(X, return_inverse=True)
     IX = IX.reshape(X.shape)
+    samples = len(tg) ** 2 * g**4
+    # A pass that the section bound settles needs no sweep.
+    settled_tol = _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction)
+    if settled_tol is not None:
+        return _pass_certificate(samples, settled_tol, g)
     # The table is split into nq equal chunks of ordinate pairs that fit the
     # budget; the blocks (t, abscissa pair, ordinate pair) of one k follow
     # that split and then split the abscissa pairs and t.
@@ -387,17 +550,9 @@ def check_coordinate_h_convex(
                         if worst_idx is None or m > worst or idx < worst_idx:
                             worst, worst_idx = m, idx
 
-    if tol is None:
-        tol = 1e-10 * (1.0 + max_abs_f)
-    samples = len(tg) ** 2 * g**4
-
+    tol = _tolerance(tol, max_abs_f)
     if worst <= tol:
-        return ConvexityCertificate(
-            verdict="pass", samples_checked=samples, worst_violation=0.0,
-            tol=tol, grid=g,
-            message=(f"no violation found on {samples} sampled configurations "
-                     f"(grid {g} per axis); sampled check only, not a proof"),
-        )
+        return _pass_certificate(samples, tol, g)
     it, ik, p, q = worst_idx
     witness = (float(tg[it]), float(tg[ik]),
                (float(xg[i1[p]]), float(yg[i1[q]])), (float(xg[i2[p]]), float(yg[i2[q]])))

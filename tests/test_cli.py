@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hhfrac.cli import main
+from hhfrac.cli import MAX_SWEEP_ROWS, main
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +300,22 @@ class TestSweepCommand:
             "--axis", "s=0.5",
         )
         assert code == 2 and "powersum" in err
+
+    def test_oversized_axis_product_is_usage_error_in_bounded_memory(self, capsys):
+        values = ",".join(str(0.001 * (i + 1)) for i in range(400))
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "sweep", "--theorem", "t1", "--f", "x*y",
+                "--rect", "0", "1", "0", "1",
+                "--axis", f"alpha={values}", "--axis", f"beta={values}",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 400 x 400 = 160,000 rows, each config about 0.5 kB
+        assert code == 2 and "160000 rows" in err and str(MAX_SWEEP_ROWS) in err
+        assert peak < 1 << 20
 
 
 class TestArgparseContract:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from hhfrac import hweights
-from hhfrac.errors import DomainError, EvaluationError
+from hhfrac.cli import main as cli_main
+from hhfrac.errors import DomainError, EvaluationDomainError, EvaluationError
 from hhfrac.fracquad import Rectangle
 from hhfrac.funcspace import builtin_function, parse_function_spec
 from hhfrac.hweights import (
@@ -336,26 +338,46 @@ class TestCertifierKernel:
         monkeypatch.setattr(hweights, "_BLOCK_BYTES", budget)
         assert run() == whole
 
-    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()])
-    def test_evaluates_only_canonical_pairs(self, h):
-        g = 7
-        npair = g * (g + 1) // 2
+    @staticmethod
+    def count_points(h, bend, g=7):
+        """The certificate of exp(x+y) + bend*(x - x^2) at grid g, the points
+        f was evaluated at per call, the sections' and the sweep's counts."""
         points = []
 
         def f(x, y):
             points.append(np.broadcast(x, y).size)
-            return np.exp(x + y)
+            return np.exp(x + y) + bend * (x - x * x)
 
         cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g)
         xs = np.linspace(0.0, 1.0, g).tolist()
         ts = xs if h.finite_at_endpoints else xs[1:-1]
-        nt = len(ts)
         abscissas = {t * xs[i] + (1.0 - t) * xs[j]
                      for t in ts for i in range(g) for j in range(i, g)}
+        ordinates = abscissas  # the unit square has the same grid on both axes
+        # T = f(abscissas, ordinates) and f(grid abscissas, ordinates)
+        sections = len(abscissas) * len(ordinates) + g * len(ordinates)
+        sweep = len(ts) * len(abscissas) * g * (g + 1) // 2
+        return cert, points, sections, sweep
+
+    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()])
+    def test_evaluates_only_canonical_pairs(self, h):
+        g = 7
+        npair = g * (g + 1) // 2
+        cert, points, sections, sweep = self.count_points(h, 0.0, g)
+        nt = g if h.finite_at_endpoints else g - 2
         assert cert.passed and cert.samples_checked == nt**2 * g**4
         assert points[0] == g * g  # the grid itself
-        assert sum(points[1:]) == nt * len(abscissas) * npair
-        assert nt * len(abscissas) * npair < nt**2 * npair**2  # every canonical pair
+        # a pass settled by the sections evaluates no sweep point
+        assert sum(points[1:]) == sections
+        assert sections < sweep < nt**2 * npair**2  # every canonical pair
+
+    def test_a_fail_evaluates_the_sections_then_the_sweep(self):
+        # concave in x where exp(x+y) < 6: the section bound cannot settle it
+        cert, points, sections, sweep = self.count_points(HWeight.identity(), 3.0)
+        assert cert.verdict == "fail"
+        assert points[0] == 7 * 7
+        assert sum(points[1:-5]) == sections + sweep
+        assert points[-5:] == [1] * 5  # the witness re-evaluated point by point
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("lo, hi, match", [
@@ -381,4 +403,145 @@ class TestCertifierKernel:
             tracemalloc.stop()
         assert cert.samples_checked == 25**6
         # one float64 array over (k, x, y, u, w) alone would take 78 MB
+        assert peak < 8 * budget
+
+
+# ---------------------------------------------------------------------------
+# the section test that settles a pass before the sweep
+# ---------------------------------------------------------------------------
+
+NON_DYADIC = Rectangle.from_bounds(0.3, 1.7, -0.9, 2.3)
+
+
+def sweep_only(monkeypatch):
+    """Make the section test inconclusive, so every certificate comes from
+    the sweep."""
+    monkeypatch.setattr(hweights, "_section_test", lambda *args: None)
+
+
+def record_sections(monkeypatch):
+    """Record what each section test returned: a tolerance if it settled
+    the certificate, else None."""
+    settled = []
+    real = hweights._section_test
+
+    def spy(*args):
+        settled.append(real(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(hweights, "_section_test", spy)
+    return settled
+
+
+class TestSectionTest:
+    @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    @pytest.mark.parametrize("src", ["exp(x+y)", "2+sin(5*x*y)", "x^2", "3"])
+    def test_changes_no_certificate(self, monkeypatch, src, weight, direction, rect):
+        # tol 0 and 1e-13 leave the rounding margin no slack
+        h = WEIGHTS[weight][0]
+        f = parse_function_spec(src)
+        cases = [(g, tol) for g in (5, 7, 9) for tol in (None, 0.0, 1e-13)]
+
+        def run():
+            return [check_coordinate_h_convex(f, h, rect, grid=g, tol=tol,
+                                              direction=direction)
+                    for g, tol in cases]
+
+        with_sections = run()
+        sweep_only(monkeypatch)
+        assert run() == with_sections
+
+    @pytest.mark.parametrize("src, verdict", [("x*y", "pass"), ("0-x^2-y^2", "fail")])
+    def test_cli_json_is_byte_identical(self, monkeypatch, capsys, src, verdict):
+        argv = ["check-hconvex", "--f", src, "--h", "identity",
+                "--rect", "0.3", "1.7", "-0.9", "2.3", "--grid", "9", "--format", "json"]
+
+        def run():
+            code = cli_main(argv)
+            return code, capsys.readouterr().out
+
+        with_sections = run()
+        assert json.loads(with_sections[1])["result"]["verdict"] == verdict
+        sweep_only(monkeypatch)
+        assert run() == with_sections
+
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    def test_a_settled_pass_passes_every_configuration(self, monkeypatch, weight,
+                                                       direction):
+        h, hf = WEIGHTS[weight]
+        settled = record_sections(monkeypatch)
+        sources = ["x*y", "exp(x+y)", "x^2", "3", "2+sin(5*x*y)", "x^2*y^2",
+                   "0-x^2-y^2", "x^0.5+y^0.5", "1+x^0.5*y^0.5"]
+        for src, rect, g in itertools.product(sources, (UNIT_SQ, NON_DYADIC), (5, 7)):
+            f = parse_function_spec(src)
+            try:
+                cert = check_coordinate_h_convex(f, h, rect, grid=g, direction=direction)
+            except (DomainError, EvaluationDomainError):
+                continue  # f < 0, or a power of a negative ordinate
+            if settled[-1] is None:
+                continue
+            worst, tol = brute_force_certificate(f, hf, g, h.finite_at_endpoints,
+                                                 direction, rect)
+            assert cert.passed and cert.tol == pytest.approx(tol, rel=1e-12)
+            assert worst <= tol, (src, rect, g)
+        assert any(s is not None for s in settled)
+
+    def test_bound_clamps_a_negative_y_deficit(self):
+        # h(t) = sqrt(t): h(t) + h(1-t) is 1 at t = 0 and sqrt(2) at t = 1/2,
+        # so the deficits d1 + (h(t) + h(1-t)) d2 peak where the sum is least
+        ts = np.linspace(0.0, 1.0, 9)
+        hs = np.sqrt(ts) + np.sqrt(1.0 - ts)
+        d1, d2 = 1.0, -0.5
+        deficits = d1 + hs * d2
+        hsum = float(hs.max())
+        assert d1 + hsum * d2 < deficits.max()  # unclamped, it under-bounds
+        assert hweights._section_bound(d1, d2, hsum, 1.0) >= deficits.max()
+        assert hweights._section_bound(d1, d2, hsum, 1.0) >= d1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "raise"])
+    def test_failures_of_f_off_the_sweep_points_are_left_to_the_sweep(
+            self, monkeypatch, bad):
+        # Godunova-Levin drops t = 0 and 1; here no combination abscissa
+        # equals the grid abscissa 1.7, so f(1.7, v) is a sweep point only
+        # for a grid ordinate v, yet the section test evaluates it for every v.
+        g = 4
+        xg = np.linspace(0.3, 1.7, g)
+        yg = np.linspace(-0.9, 2.3, g)
+        tg = np.linspace(0.0, 1.0, g)[1:-1]
+        i1, i2 = np.triu_indices(g)
+        off = np.setdiff1d(xg, tg[:, None] * xg[i1] + (1.0 - tg)[:, None] * xg[i2])
+        assert off.tolist() == [1.7]
+
+        def f(x, y):
+            unsampled = np.isin(x, off) & ~np.isin(y, yg)
+            if bad == "raise":
+                if unsampled.any():
+                    raise EvaluationError("f fails off the sampled points")
+                return 2.0 + x * y
+            return np.where(unsampled, bad, 2.0 + x * y)
+
+        h = HWeight.godunova_levin()
+        settled = record_sections(monkeypatch)
+        cert = check_coordinate_h_convex(f, h, NON_DYADIC, grid=g)
+        assert settled == [None] and cert.passed
+        sweep_only(monkeypatch)
+        assert check_coordinate_h_convex(f, h, NON_DYADIC, grid=g) == cert
+
+    def test_memory_of_a_settled_pass_is_bounded_by_the_block_budget(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(hweights, "_BLOCK_BYTES", budget)
+        settled = record_sections(monkeypatch)
+        tracemalloc.start()
+        try:
+            cert = check_coordinate_h_convex(builtin_function("quadratic"),
+                                             HWeight.identity(), UNIT_SQ, grid=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.passed and settled[0] is not None
+        # T alone, f over 4,158 x 4,158 distinct abscissas and ordinates,
+        # would take 138 MB
         assert peak < 8 * budget
