@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 from .certify import (
@@ -450,8 +449,8 @@ def _cmd_sweep(args) -> int:
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
 
-    # Each distinct f is parsed once, before the rows run, so every row and
-    # every pool thread reuses the samples cached on it.
+    # Each distinct f is parsed once, before the rows run, so every row
+    # reuses the samples cached on it.
     parsed = {}
     for text in dict.fromkeys(cfg["f"] for cfg in row_configs):
         try:
@@ -474,11 +473,7 @@ def _cmd_sweep(args) -> int:
             status, result, error = "error", {}, f"{type(exc).__name__}: {exc}"
         return _sweep_row_from(cfg, status, result, error)
 
-    if jobs == 1 or len(row_configs) == 1:
-        rows = [run_row(cfg) for cfg in row_configs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, row_configs))
+    rows = [run_row(cfg) for cfg in row_configs]
 
     config = dict(base)
     config["rect"] = [float(v) for v in args.rect]
@@ -719,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=("sweep axis; repeatable; NAME in alpha, beta, s, p; "
                          f"at most {MAX_SWEEP_ROWS} rows in all"))
     p.add_argument("--jobs", type=int, default=None,
-                   help="concurrent rows (default 1)")
+                   help=("accepted for compatibility and ignored: rows always run in "
+                         "order on one thread; at least 1; to be removed"))
     _add_quadrature(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)

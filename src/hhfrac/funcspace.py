@@ -10,7 +10,11 @@ Derivatives*, SIAM 2008, ch. 1), built on first use and run through
 :func:`evaluate`, so a domain violation names the offending subexpression of
 the derivative.  Structural zeros are dropped, so ``x^0.5 + y^0.5`` has the
 constant mixed partial 0, also on the axes.  ``abs(u)`` differentiates to
-``sign(u) u'``; ``sign`` occurs only in derivatives and is not parsed.
+``sign(u) u'``; ``sign`` occurs only in derivatives and is not parsed.  The
+derivative repeats subexpressions of f and of its first partial (``exp(x +
+y)``, ``cos(x * y)``, ...), so it is kept as a DAG in which equal
+subexpressions are one node (:func:`_share`): an evaluation computes each
+shared node once and drops its value after the last use.
 Builtins carry hand-written partials.  Only a plain callable without a
 partial falls back to the 4-point central cross stencil
 
@@ -22,6 +26,8 @@ rectangle.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -37,7 +43,6 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .fracquad import Rectangle
-from .quadrature import CACHE_LOCK
 
 __all__ = [
     "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call", "Expression",
@@ -267,6 +272,8 @@ def _fmt(e: Expression, ctx_bp: int) -> str:
     if isinstance(e, Neg):
         s = "-" + _fmt(e.operand, _UNARY_PRECEDENCE)
         return f"({s})" if ctx_bp > _UNARY_PRECEDENCE else s
+    if isinstance(e, _Shared):
+        return _fmt(e.expr, ctx_bp)
     op, cls_bp = {
         Add: ("+", 10), Sub: ("-", 10), Mul: ("*", 20), Div: ("/", 20), Pow: ("^", 30),
     }[type(e)]
@@ -286,8 +293,19 @@ def format_expression(e: Expression) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _domain_check(ok: np.ndarray | bool, node: Expression, what: str) -> None:
-    if not np.all(ok):
+class _Shared:
+    """A node with ``uses`` parents in a DAG made by :func:`_share`.  A call
+    of :func:`_eval` computes ``expr`` at the first use and keeps the value
+    until the last."""
+
+    __slots__ = ("expr", "uses")
+
+    def __init__(self, expr: Expression, uses: int):
+        self.expr, self.uses = expr, uses
+
+
+def _domain_check(ok: np.ndarray | np.bool_, node: Expression, what: str) -> None:
+    if not ok.all():  # half the cost of np.all(ok) on small arrays
         raise EvaluationDomainError(f"{what} in '{format_expression(node)}'")
 
 
@@ -337,6 +355,18 @@ def _eval(e: Expression, env: dict):
             return np.abs(arg)
         if e.func == "sign":
             return np.sign(arg)
+    if isinstance(e, _Shared):
+        # The call's environment holds [value, uses left] from the first use
+        # to the last.
+        slot = env.get(e)
+        if slot is None:
+            value = _eval(e.expr, env)
+            env[e] = [value, e.uses - 1]
+            return value
+        slot[1] -= 1
+        if not slot[1]:
+            del env[e]
+        return slot[0]
     raise EvaluationError(f"cannot evaluate node {e!r}")
 
 
@@ -357,14 +387,16 @@ def _evaluate_univariate(expr: Expression, t):
     return float(out) if scalar else out
 
 
-def _contains_abs(e: Expression) -> bool:
+def _operands(e: Expression) -> tuple:
     if isinstance(e, Call):
-        return e.func == "abs" or any(_contains_abs(a) for a in e.args)
+        return e.args
     if isinstance(e, Neg):
-        return _contains_abs(e.operand)
-    if isinstance(e, (Add, Sub, Mul, Div, Pow)):
-        return _contains_abs(e.left) or _contains_abs(e.right)
-    return False
+        return (e.operand,)
+    return () if isinstance(e, (Num, Var)) else (e.left, e.right)
+
+
+def _contains_abs(e: Expression) -> bool:
+    return getattr(e, "func", None) == "abs" or any(map(_contains_abs, _operands(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +410,25 @@ def _fold(cls, a: Expression, b: Expression) -> Expression:
     """``cls(a, b)`` with constants folded and the identities of 0 and 1
     applied (a + 0, 0 * b, a / 1, a^0, ...); a constant that does not
     evaluate (0 / 0) stays for :func:`evaluate` to report."""
-    if isinstance(a, Num) and isinstance(b, Num):
-        try:
-            return Num(float(_eval(cls(a, b), {})))
-        except EvaluationDomainError:
-            return cls(a, b)
-    if b == _ZERO and cls in (Add, Sub) or b == _ONE and cls in (Mul, Div, Pow):
-        return a
-    if a == _ZERO and cls in (Mul, Div) or b == _ZERO and cls is Mul:
-        return _ZERO
-    if a == _ZERO and cls in (Add, Sub):
-        return b if cls is Add else Neg(b)
-    if a == _ONE and cls is Mul:
-        return b
-    return _ONE if b == _ZERO and cls is Pow else cls(a, b)
+    # Constants are compared by value: == on a node is a Python-level call.
+    if isinstance(b, Num):
+        if isinstance(a, Num):
+            try:
+                return Num(float(_eval(cls(a, b), {})))
+            except EvaluationDomainError:
+                return cls(a, b)
+        if b.value == 0.0 and cls in (Add, Sub) or b.value == 1.0 and cls in (Mul, Div, Pow):
+            return a
+        if b.value == 0.0 and cls in (Mul, Pow):
+            return _ZERO if cls is Mul else _ONE
+    elif isinstance(a, Num):
+        if a.value == 0.0 and cls in (Mul, Div):
+            return _ZERO
+        if a.value == 0.0 and cls in (Add, Sub):
+            return b if cls is Add else Neg(b)
+        if a.value == 1.0 and cls is Mul:
+            return b
+    return cls(a, b)
 
 
 def _diff(expr: Expression, var: str) -> Expression:
@@ -444,15 +481,56 @@ def _diff(expr: Expression, var: str) -> Expression:
     return d(expr)
 
 
+def _share(expr: Expression) -> Expression:
+    """``expr`` as a DAG: structurally equal operator subexpressions become
+    one node, wrapped in :class:`_Shared` where it has several parents.
+
+    A node is keyed on its type, its function name and its operands' keys,
+    where an operator's key is the identity of the first node seen with its
+    structure, so each object is keyed once (a structural hash would rehash
+    every subtree at each level).  Only nodes whose operands changed are
+    rebuilt.  Leaves stay apart: sharing them saves no work.
+    """
+    first, rep_of, parents, order = {}, {}, {}, []
+
+    def key(e):
+        if isinstance(e, Num):
+            return (e.value, math.copysign(1.0, e.value))  # -0.0 is not 0.0
+        if isinstance(e, Var):
+            return e.name
+        rep = rep_of.get(id(e))
+        if rep is None:
+            ops = _operands(e)
+            keys = [key(o) for o in ops]
+            rep = first.setdefault((type(e), getattr(e, "func", None), *keys), e)
+            rep = rep_of[id(e)] = id(rep)
+            if rep == id(e):
+                order.append((e, ops))
+                for k in keys:
+                    if type(k) is int:  # an operator operand
+                        parents[k] = parents.get(k, 0) + 1
+        return rep
+
+    root = key(expr)
+    built = {}
+    for e, old in order:
+        new = tuple([o if isinstance(o, (Num, Var)) else built[rep_of[id(o)]] for o in old])
+        node = e
+        if any(map(operator.is_not, new, old)):
+            node = Call(e.func, new) if isinstance(e, Call) else type(e)(*new)
+        uses = parents.get(id(e), 0)
+        built[id(e)] = _Shared(node, uses) if uses > 1 else node
+    return built[root] if type(root) is int else expr
+
+
 def _lazy_mixed_partial(ast: Expression) -> Callable:
-    """``evaluate`` of d^2 ast / dx dy; the derivative is built on the first
-    call, under the package's cache lock, and kept by the returned closure."""
+    """``evaluate`` of d^2 ast / dx dy as a DAG (:func:`_share`), built on the
+    first call and kept by the returned closure."""
     d2 = []
 
     def partial(x, y):
-        with CACHE_LOCK:
-            if not d2:
-                d2.append(_diff(_diff(ast, "x"), "y"))
+        if not d2:
+            d2.append(_share(_diff(_diff(ast, "x"), "y")))
         return evaluate(d2[0], x, y)
 
     return partial
@@ -488,15 +566,11 @@ class BivariateFunction:
         return self.evaluator(x, y)
 
     def cached(self, key, build: Callable):
-        """The value stored under ``key``, from ``build()`` on first use.
-
-        Built under the package's cache lock, so concurrent callers build
-        each entry once; a ``build`` that raises stores nothing.
-        """
-        with CACHE_LOCK:
-            if key not in self._samples:
-                self._samples[key] = build()
-            return self._samples[key]
+        """The value stored under ``key``, from ``build()`` on first use; a
+        ``build`` that raises stores nothing."""
+        if key not in self._samples:
+            self._samples[key] = build()
+        return self._samples[key]
 
 
 def mixed_partial(f, x, y, rect: Optional[Rectangle] = None):

@@ -42,8 +42,7 @@ Numerical Algorithms*, sec. 3.1).
 from __future__ import annotations
 
 import math
-import threading
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,27 +62,6 @@ NONCONVERGENCE_FACTOR = 100.0
 #: covers the true error and stays steady as the node count grows; 8 is too
 #: small for that.  It remains far below every verdict tolerance.
 _FLOOR_EPS_MULTIPLE = 32.0
-
-
-#: One process-wide lock under which every cache of the package is filled:
-#: the rules here and the samples cached on a function.  Sweep rows run on
-#: pool threads; under the lock each entry is built exactly once.  It is
-#: re-entrant because building one entry may look up another.
-CACHE_LOCK = threading.RLock()
-
-
-def _shared_cache(fn):
-    """``lru_cache`` whose lookups and builds hold :data:`CACHE_LOCK`."""
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def locked(*args, **kwargs):
-        with CACHE_LOCK:
-            return cached(*args, **kwargs)
-
-    locked.cache_info = cached.cache_info
-    locked.cache_clear = cached.cache_clear
-    return locked
 
 
 def error_floor(magnitude: float) -> float:
@@ -112,7 +90,7 @@ def _legendre_ld(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (x * p - p_prev) / (x * x - 1)
 
 
-@_shared_cache
+@lru_cache(maxsize=None)
 def _upper_roots_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``x >= 0`` of ``P_n``, ascending, and their weights on [0, 1],
     in extended precision: Newton's method from Tricomi's approximation
@@ -133,7 +111,7 @@ def _upper_roots_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 1 / ((1 - x * x) * dp * dp)
 
 
-@_shared_cache
+@lru_cache(maxsize=None)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [0, 1], rounded from
     :func:`_upper_roots_ld` and mirrored about 1/2."""
@@ -172,7 +150,7 @@ _KERNEL_GRADING_BOOST = 4
 _FAR_END_GRADING = 4
 
 
-@_shared_cache
+@lru_cache(maxsize=None)
 def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (u, w) with ``sum w*g(u) ~ int_0^1 s^(order-1) g(s) ds``.
 
@@ -195,7 +173,7 @@ def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-@_shared_cache
+@lru_cache(maxsize=None)
 def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-integration weights on the nodes of :func:`gauss_legendre_01`.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ from hhfrac.funcspace import (
     Sub,
     Var,
     _diff,
+    _fold,
+    _operands,
+    _share,
+    _Shared,
     builtin_function,
     evaluate,
     format_expression,
@@ -315,6 +320,154 @@ class TestSymbolicDerivative:
         assert evaluate(got, np.array([0.2, 0.9]), 0.5).tolist() == [-1.0, 1.0]
         with pytest.raises(UnknownIdentifierError):
             parse_expression("sign(x)")
+
+    @pytest.mark.parametrize("cls", [Add, Sub, Mul, Div, Pow])
+    def test_fold_applies_the_identities_of_zero_and_one(self, cls):
+        def reference(a, b):
+            # the rules with == on whole nodes
+            zero, one = Num(0.0), Num(1.0)
+            if isinstance(a, Num) and isinstance(b, Num):
+                try:
+                    return Num(float(evaluate(cls(a, b), 0.0, 0.0)))
+                except EvaluationDomainError:
+                    return cls(a, b)
+            if b == zero and cls in (Add, Sub) or b == one and cls in (Mul, Div, Pow):
+                return a
+            if a == zero and cls in (Mul, Div) or b == zero and cls is Mul:
+                return zero
+            if a == zero and cls in (Add, Sub):
+                return b if cls is Add else Neg(b)
+            if a == one and cls is Mul:
+                return b
+            return one if b == zero and cls is Pow else cls(a, b)
+
+        nodes = (Num(0.0), Num(-0.0), Num(1.0), Num(2.0), X, Mul(X, Y), Neg(Y))
+        for a in nodes:
+            for b in nodes:
+                got, want = _fold(cls, a, b), reference(a, b)
+                assert format_expression(got) == format_expression(want), (a, b)
+
+
+def _reference_eval(e, x, y):
+    """The expression evaluated as a tree, node by node, with the same numpy
+    operations as :func:`evaluate` and no domain checks."""
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Neg):
+        return -_reference_eval(e.operand, x, y)
+    if isinstance(e, Call):
+        args = [_reference_eval(a, x, y) for a in e.args]
+        with np.errstate(all="ignore"):
+            return np.power(*args) if e.func == "pow" else getattr(np, e.func)(*args)
+    ufunc = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide,
+             Pow: np.power}[type(e)]
+    with np.errstate(all="ignore"):
+        return ufunc(_reference_eval(e.left, x, y), _reference_eval(e.right, x, y))
+
+
+def _shared_nodes(e, out=None) -> dict:
+    """``{source of a shared node: its uses}`` in a DAG made by ``_share``."""
+    out = {} if out is None else out
+    if isinstance(e, _Shared):
+        out[format_expression(e.expr)] = e.uses
+        e = e.expr
+    for o in _operands(e):
+        _shared_nodes(o, out)
+    return out
+
+
+WORKLOAD_EXPR = "exp(x+y)*sin(x*y)+x^3*y^2"
+
+
+class TestSharedDerivative:
+    @pytest.mark.parametrize("src", TestSymbolicDerivative.CASES)
+    def test_bit_identical_to_a_tree_evaluation(self, src):
+        f = parse_function_spec(src)
+        tree = _diff(_diff(parse_expression(src), "x"), "y")
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(0.5, 1.5, 40), rng.uniform(1.0, 2.0, 40)
+        for x, y in ((0.7, 1.3), (xs, ys), (xs[:, None], ys[None, :])):
+            want = _reference_eval(tree, np.asarray(x), np.asarray(y))
+            got = mixed_partial(f, x, y)
+            if np.isscalar(x):
+                assert isinstance(got, float) and got == float(want)
+            else:
+                assert np.array_equal(got, want), src
+
+    def test_the_workload_derivative_shares_its_repeated_subexpressions(self):
+        d2 = _share(_diff(_diff(parse_expression(WORKLOAD_EXPR), "x"), "y"))
+        assert _shared_nodes(d2) == {
+            "exp(x + y)": 4, "sin(x * y)": 2, "cos(x * y)": 3, "x * y": 2}
+
+    def test_zeros_of_opposite_sign_stay_apart(self):
+        # (x * -0.0) * (x * 0.0) is -0.0; merging the factors would give +0.0
+        dag = _share(Mul(Mul(X, Num(-0.0)), Mul(X, Num(0.0))))
+        assert _shared_nodes(dag) == {}
+        assert math.copysign(1.0, evaluate(dag, 1.0, 1.0)) == -1.0
+
+    def test_each_shared_node_is_computed_once_per_call(self, monkeypatch):
+        calls = {"exp": 0, "sin": 0, "cos": 0}
+        for name in calls:
+            def counted(arg, _ufunc=getattr(np, name), _name=name):
+                calls[_name] += 1
+                return _ufunc(arg)
+            monkeypatch.setattr(np, name, counted)
+        f = parse_function_spec(WORKLOAD_EXPR)
+        g = np.linspace(0.1, 1.0, 16)
+        mixed_partial(f, g[:, None], g[None, :])
+        # as a tree, the derivative computes exp 4, sin 2 and cos 3 times
+        assert calls == {"exp": 1, "sin": 1, "cos": 1}
+        mixed_partial(f, g[:, None], g[None, :])
+        assert calls == {"exp": 2, "sin": 2, "cos": 2}
+
+    @pytest.mark.parametrize("src, x, y, shared, message", [
+        ("sqrt(x*y)", -1.0, 1.0, "2.0 * sqrt(x * y)",
+         "sqrt of a negative value in 'sqrt(x * y)'"),
+        ("sqrt(x*y)", np.array([1.0, -1.0]), np.array([1.0, 1.0]), "2.0 * sqrt(x * y)",
+         "sqrt of a negative value in 'sqrt(x * y)'"),
+        ("1/(x - y)", 1.0, 1.0, "(x - y) * (x - y)",
+         "division by zero in '(-1.0 * (x - y) + (x - y) * -1.0)"
+         " / ((x - y) * (x - y) * ((x - y) * (x - y)))'"),
+        ("sin(x)*cos(x*y) + sqrt(x + 2*y)", 0.0, -1.0, "2.0 * sqrt(x + 2.0 * y)",
+         "sqrt of a negative value in 'sqrt(x + 2.0 * y)'"),
+    ])
+    def test_a_failing_shared_subexpression_is_named_as_in_the_tree(
+            self, src, x, y, shared, message):
+        tree = _diff(_diff(parse_expression(src), "x"), "y")
+        assert shared in _shared_nodes(_share(tree))
+        with pytest.raises(EvaluationDomainError) as from_tree:
+            evaluate(tree, x, y)
+        with pytest.raises(EvaluationDomainError) as from_dag:
+            mixed_partial(parse_function_spec(src), x, y)
+        assert str(from_dag.value) == str(from_tree.value) == message
+
+    def test_peak_memory_on_a_broadcast_grid(self):
+        # One full 256 x 256 array is 512 KiB.  Measured with numpy 2.4 on
+        # this expression: the tree peaks at 3,146,304 bytes, six full arrays
+        # live while cos(x * y) is computed; the DAG at 3,213,248 bytes, also
+        # six, but during a broadcast multiply, for which numpy allocates a
+        # 64 KiB iteration buffer.
+        f = parse_function_spec(WORKLOAD_EXPR)
+        tree = _diff(_diff(parse_expression(WORKLOAD_EXPR), "x"), "y")
+        g = (np.arange(256) + 0.5) / 256
+        x, y = g[:, None], 1.0 + g[None, :]
+        mixed_partial(f, x, y)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tree_peak = peak(lambda: evaluate(tree, x, y))
+        dag_peak = peak(lambda: mixed_partial(f, x, y))
+        full = x.size * y.size * 8
+        assert tree_peak < 7 * full and dag_peak < 7 * full
+        assert dag_peak <= tree_peak + np.getbufsize() * 8 + 2048
 
 
 class TestBuiltins:

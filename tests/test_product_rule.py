@@ -2,8 +2,12 @@
 integral: agreement with the graded corner rules, the fallback to them, and
 one set of samples per function, rectangle and level across a sweep."""
 
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,24 @@ class TestJobs:
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
         code = main(["sweep", *self.ARGS, "--jobs", jobs])
         assert code == 2 and "--jobs" in capsys.readouterr().err
+
+    def test_rows_run_on_the_calling_thread(self, monkeypatch, capsys):
+        serial = _sweep(capsys, *self.ARGS, "--jobs", "1")
+
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert _sweep(capsys, *self.ARGS, "--jobs", "4") == serial
+
+    def test_cli_import_leaves_out_the_thread_pool(self):
+        src = str(Path(funcspace.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        probe = "import sys, hhfrac.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestNodeCap:
