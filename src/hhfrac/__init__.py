@@ -6,13 +6,11 @@ from .certify import (
     ChainReport,
     HolderExponents,
     LemmaReport,
-    a_term,
     corollary_moment_c1,
     corollary_moment_c2,
     corollary_moment_c3,
     h_moment_m,
     lemma1_residual,
-    middle_fractional_term,
     theorem1_chain,
     theorem4_chain,
     theorem5_bound,
@@ -70,12 +68,12 @@ __all__ = [
     "LemmaReport", "OverflowDomainError", "QuadratureNonConvergenceError",
     "QuadratureSpec", "Rectangle", "Side",
     "StepUnderflowError", "UnknownIdentifierError", "UsageError",
-    "a_term", "beta", "builtin_function",
+    "beta", "builtin_function",
     "check_coordinate_h_convex", "corollary_moment_c1", "corollary_moment_c2",
     "corollary_moment_c3", "evaluate", "format_expression",
     "frac_integral_1d", "frac_integral_2d", "gamma", "h_eval", "h_moment_m",
     "lemma1_residual", "log_gamma",
-    "middle_fractional_term", "mixed_partial", "parse_expression",
+    "mixed_partial", "parse_expression",
     "parse_function_spec", "parse_hweight", "theorem1_chain", "theorem4_chain",
     "theorem5_bound", "theorem6_bound",
 ]

@@ -3,10 +3,10 @@ Hölder bounds, and the two-sided identity they all rest on.
 
 Shorthand used throughout (rectangle [a, b] x [c, d], orders alpha, beta):
 
-* ``middle_fractional_term``: the four corner fractional integrals summed and
-  scaled by Gamma(alpha+1) Gamma(beta+1) / (4 (b-a)^alpha (d-c)^beta).
-* ``a_term``: the correction A built from eight one-variable fractional
-  integrals of the boundary sections f(a, .), f(b, .), f(., c), f(., d).
+* the middle term: the four corner fractional integrals summed and scaled by
+  Gamma(alpha+1) Gamma(beta+1) / (4 (b-a)^alpha (d-c)^beta).
+* A: the correction built from eight one-variable fractional integrals of
+  the boundary sections f(a, .), f(b, .), f(., c), f(., d).
 * h-moments: every weight integral the theorems use is one moment,
   M(h, g) = int_0^1 t^(g-1) (h(t) + h(1-t)) dt, at a shifted order:
       K1(h, g) = int_0^1 (t^g + (1-t)^g) h(t) dt = M(h, g + 1),
@@ -33,13 +33,13 @@ y = c + (d-c) eta:
 with w_e / w_o the even / odd-parity weights.  The samples depend only on
 (f, rectangle, level) and are cached on the function, so every corner, both
 terms, both identity sides and every sweep row share them; only the weights
-depend on the orders.  Each quantity is computed at n and 2n nodes per axis;
-when the two differ by more than ``target_rel_tol * max(1, |value|)`` (an
-endpoint singularity of f, such as x^0.5, converges only algebraically),
-that quantity falls back to the graded corner rules of
-:mod:`hhfrac.fracquad`.  The estimate of a
-product-rule value is the level gap plus the round-off floor of
-``|w|^T |F| |w|``, with the weights' own rounding bound added to ``|w|``.
+depend on the orders.  :func:`hhfrac.quadrature.two_level` computes each
+quantity at n and 2n nodes per axis; when the two differ by more than
+``target_rel_tol * max(1, |value|)`` (an endpoint singularity of f, such as
+x^0.5, converges only algebraically), that quantity falls back to the graded
+corner rules of :mod:`hhfrac.fracquad`.  The estimate of a product-rule value
+is the level gap plus the round-off floor of ``|w|^T |F| |w|``, with the
+weights' own rounding bound added to ``|w|``.
 
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the
@@ -67,10 +67,10 @@ from .fracquad import (
 from .funcspace import BivariateFunction, mixed_partial
 from .hweights import HFamily, HWeight, h_eval, table_pieces
 from .quadrature import (
-    check_two_level,
     gauss_legendre_01,
     power_weighted_rule,
     product_weights,
+    two_level,
 )
 from .special import beta as beta_fn
 from .special import beta_rel_error, gamma
@@ -83,9 +83,7 @@ __all__ = [
     "DEFAULT_ABS_TOL",
     "MOMENT_WEIGHT_NOTE",
     "KINK_NOTE",
-    "middle_fractional_term",
     "middle_fractional_term_with_estimate",
-    "a_term",
     "a_term_with_estimate",
     "h_moment_m",
     "corollary_moment_c1",
@@ -191,11 +189,6 @@ def _corner_values(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
 # product integration on one Gauss-Legendre grid
 # ---------------------------------------------------------------------------
 
-def _levels(spec: QuadratureSpec) -> tuple[int, int]:
-    """Node counts of the two refinement levels."""
-    return (spec.nodes_per_axis, 2 * spec.nodes_per_axis)
-
-
 def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
     return fv.cached(("f", rect, n), lambda: gauss_grid_samples(fv, rect, n))
 
@@ -236,50 +229,6 @@ def _bilinear_form(wx, wy, grid: np.ndarray) -> tuple[float, float]:
     return float(ox @ grid @ oy), magnitude
 
 
-def _product_estimate(levels, spec: QuadratureSpec, what: str):
-    """``(value, error)`` from the ``(value, magnitude)`` of the two levels,
-    or ``None`` when they disagree beyond the target and the caller falls
-    back to the graded rules."""
-    (coarse, _), (fine, magnitude) = levels
-    if abs(coarse - fine) > spec.target_rel_tol * max(1.0, abs(fine)):
-        return None
-    return fine, check_two_level(coarse, fine, magnitude, spec.target_rel_tol, what)
-
-
-def _product_middle(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
-    levels = []
-    ab = order.alpha * order.beta
-    for n in _levels(spec):
-        v, m = _bilinear_form(product_weights(order.alpha, n, 0),
-                              product_weights(order.beta, n, 0), _f_grid(fv, rect, n)[0])
-        levels.append((ab * v, ab * m))
-    return _product_estimate(levels, spec, "product-rule middle term")
-
-
-def _product_a_term(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
-    levels = []
-    for n in _levels(spec):
-        _, edges_x, edges_y = _f_grid(fv, rect, n)
-        value = magnitude = 0.0
-        for g, sections in ((order.beta, edges_x), (order.alpha, edges_y.T)):
-            omega, rho = product_weights(g, n, 0)
-            value += 0.5 * g * float(omega @ (sections[0] + sections[1]))
-            magnitude += 0.5 * g * float((np.abs(omega) + rho) @ np.abs(sections).sum(axis=0))
-        levels.append((value, magnitude))
-    return _product_estimate(levels, spec, "product-rule A term")
-
-
-def _product_kernel_integral(fv, order: FracOrder, rect: Rectangle, spec: QuadratureSpec):
-    levels = []
-    scale = rect.x.width * rect.y.width
-    for n in _levels(spec):
-        v, m = _bilinear_form(product_weights(order.alpha + 1.0, n, 1),
-                              product_weights(order.beta + 1.0, n, 1),
-                              _d_grid(fv, rect, n))
-        levels.append((scale * v, scale * m))
-    return _product_estimate(levels, spec, "product-rule derivative-kernel integral")
-
-
 # ---------------------------------------------------------------------------
 # the fractional building blocks
 # ---------------------------------------------------------------------------
@@ -294,29 +243,30 @@ def middle_fractional_term_with_estimate(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    product = _product_middle(fv, order, rect, spec)
-    if product is not None:
-        return product
-    pieces = (
-        (Corner.LOWER_LOWER, (rect.b, rect.d)),
-        (Corner.LOWER_UPPER, (rect.b, rect.c)),
-        (Corner.UPPER_LOWER, (rect.a, rect.d)),
-        (Corner.UPPER_UPPER, (rect.a, rect.c)),
-    )
-    total = 0.0
-    err = 0.0
-    for corner, at in pieces:
-        v, e = frac_integral_2d_with_estimate(fv, order, corner, rect, at, spec)
-        total += v
-        err += e
-    scale = (gamma(order.alpha + 1.0) * gamma(order.beta + 1.0)
-             / (4.0 * rect.x.width**order.alpha * rect.y.width**order.beta))
-    return scale * total, scale * err
 
+    def product(n):
+        ab = order.alpha * order.beta
+        v, m = _bilinear_form(product_weights(order.alpha, n, 0),
+                              product_weights(order.beta, n, 0), _f_grid(fv, rect, n)[0])
+        return ab * v, ab * m
 
-def middle_fractional_term(f, order: FracOrder, rect: Rectangle,
-                           spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
-    return middle_fractional_term_with_estimate(f, order, rect, spec)[0]
+    def graded():
+        pieces = (
+            (Corner.LOWER_LOWER, (rect.b, rect.d)),
+            (Corner.LOWER_UPPER, (rect.b, rect.c)),
+            (Corner.UPPER_LOWER, (rect.a, rect.d)),
+            (Corner.UPPER_UPPER, (rect.a, rect.c)),
+        )
+        total = 0.0
+        err = 0.0
+        for corner, at in pieces:
+            v, e = frac_integral_2d_with_estimate(fv, order, corner, rect, at, spec)
+            total += v
+            err += e
+        scale = (gamma(order.alpha + 1.0) * gamma(order.beta + 1.0)
+                 / (4.0 * rect.x.width**order.alpha * rect.y.width**order.beta))
+        return scale * total, scale * err
+    return two_level(product, spec, "product-rule middle term", graded)
 
 
 def a_term_with_estimate(
@@ -325,43 +275,47 @@ def a_term_with_estimate(
     """The correction A from the eight boundary-section fractional integrals."""
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    product = _product_a_term(fv, order, rect, spec)
-    if product is not None:
-        return product
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
-    def section_x(x0):
-        return lambda s: fv(x0, s)
+    def product(n):
+        _, edges_x, edges_y = _f_grid(fv, rect, n)
+        value = magnitude = 0.0
+        for g, sections in ((order.beta, edges_x), (order.alpha, edges_y.T)):
+            omega, rho = product_weights(g, n, 0)
+            value += 0.5 * g * float(omega @ (sections[0] + sections[1]))
+            magnitude += 0.5 * g * float((np.abs(omega) + rho) @ np.abs(sections).sum(axis=0))
+        return value, magnitude
 
-    def section_y(y0):
-        return lambda t: fv(t, y0)
+    def graded():
+        a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
-    y_pieces = (
-        (section_x(a), Side.LEFT, d), (section_x(b), Side.LEFT, d),
-        (section_x(a), Side.RIGHT, c), (section_x(b), Side.RIGHT, c),
-    )
-    x_pieces = (
-        (section_y(c), Side.LEFT, b), (section_y(d), Side.LEFT, b),
-        (section_y(c), Side.RIGHT, a), (section_y(d), Side.RIGHT, a),
-    )
-    sum_y = err_y = 0.0
-    for sec, side, at in y_pieces:
-        v, e = frac_integral_1d_with_estimate(sec, order.beta, side, rect.y, at, spec)
-        sum_y += v
-        err_y += e
-    sum_x = err_x = 0.0
-    for sec, side, at in x_pieces:
-        v, e = frac_integral_1d_with_estimate(sec, order.alpha, side, rect.x, at, spec)
-        sum_x += v
-        err_x += e
-    scale_y = gamma(order.beta + 1.0) / (4.0 * rect.y.width**order.beta)
-    scale_x = gamma(order.alpha + 1.0) / (4.0 * rect.x.width**order.alpha)
-    return scale_y * sum_y + scale_x * sum_x, scale_y * err_y + scale_x * err_x
+        def section_x(x0):
+            return lambda s: fv(x0, s)
 
+        def section_y(y0):
+            return lambda t: fv(t, y0)
 
-def a_term(f, order: FracOrder, rect: Rectangle,
-           spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
-    return a_term_with_estimate(f, order, rect, spec)[0]
+        y_pieces = (
+            (section_x(a), Side.LEFT, d), (section_x(b), Side.LEFT, d),
+            (section_x(a), Side.RIGHT, c), (section_x(b), Side.RIGHT, c),
+        )
+        x_pieces = (
+            (section_y(c), Side.LEFT, b), (section_y(d), Side.LEFT, b),
+            (section_y(c), Side.RIGHT, a), (section_y(d), Side.RIGHT, a),
+        )
+        sum_y = err_y = 0.0
+        for sec, side, at in y_pieces:
+            v, e = frac_integral_1d_with_estimate(sec, order.beta, side, rect.y, at, spec)
+            sum_y += v
+            err_y += e
+        sum_x = err_x = 0.0
+        for sec, side, at in x_pieces:
+            v, e = frac_integral_1d_with_estimate(sec, order.alpha, side, rect.x, at, spec)
+            sum_x += v
+            err_x += e
+        scale_y = gamma(order.beta + 1.0) / (4.0 * rect.y.width**order.beta)
+        scale_x = gamma(order.alpha + 1.0) / (4.0 * rect.x.width**order.alpha)
+        return scale_y * sum_y + scale_x * sum_x, scale_y * err_y + scale_x * err_x
+    return two_level(product, spec, "product-rule A term", graded)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +409,7 @@ def theorem4_chain(
     """Hadamard chain for a coordinate h-convex f (caller-asserted).
 
     left   = f at the rectangle midpoint,
-    middle = 4 h(1/2)^2 * middle_fractional_term,
+    middle = 4 h(1/2)^2 * (the middle term),
     right  = h(1/2)^2 * alpha * beta * (corner sum) * M(h, alpha) * M(h, beta).
     """
     rect.require_nonneg_origin()
@@ -610,9 +564,13 @@ def _folded_derivative_integral(
     alpha + 1 and beta + 1 integrates it spectrally for smooth D.  The
     product rule on the cached Gauss-Legendre grid of D is tried first.
     """
-    product = _product_kernel_integral(fv, order, rect, spec)
-    if product is not None:
-        return product
+    def product(n):
+        area = rect.x.width * rect.y.width
+        v, m = _bilinear_form(product_weights(order.alpha + 1.0, n, 1),
+                              product_weights(order.beta + 1.0, n, 1),
+                              _d_grid(fv, rect, n))
+        return area * v, area * m
+
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
 
     def dsamp(xs, ys):
@@ -622,8 +580,8 @@ def _folded_derivative_integral(
         ), (xs.size, ys.size))
 
     scale = 0.25 * rect.x.width * rect.y.width
-    results = []
-    for n in _levels(spec):
+
+    def graded_level(n):
         ut, wt = power_weighted_rule(order.alpha + 1.0, n)
         uk, wk = power_weighted_rule(order.beta + 1.0, n)
         xt = ut * a + (1.0 - ut) * b
@@ -631,11 +589,9 @@ def _folded_derivative_integral(
         yk = uk * c + (1.0 - uk) * d
         ymk = (1.0 - uk) * c + uk * d
         g = dsamp(xt, yk) - dsamp(xmt, yk) - dsamp(xt, ymk) + dsamp(xmt, ymk)
-        results.append(scale * float(wt @ g @ wk))
-    magnitude = scale * float(wt @ np.abs(g) @ wk)
-    est = check_two_level(results[0], results[1], magnitude, spec.target_rel_tol,
-                          "derivative-kernel integral")
-    return results[1], est
+        return scale * float(wt @ g @ wk), scale * float(wt @ np.abs(g) @ wk)
+    return two_level(product, spec, "product-rule derivative-kernel integral",
+                     lambda: two_level(graded_level, spec, "derivative-kernel integral"))
 
 
 def lemma1_residual(
@@ -646,7 +602,7 @@ def lemma1_residual(
 ) -> LemmaReport:
     """Verify the two-sided identity behind the derivative bounds.
 
-    lhs = corner average + middle_fractional_term - A; rhs is the double
+    lhs = corner average + middle term - A; rhs is the double
     integral of the product kernel (t^alpha - (1-t)^alpha)(k^beta - (1-k)^beta)
     against the mixed partial along the affine parametrization of the
     rectangle.  The report passes when |lhs - rhs| <= 10 * quadrature_error.

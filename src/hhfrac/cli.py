@@ -10,8 +10,9 @@ Four commands:
   per grid point.
 
 Exit codes: 0 pass/success, 1 inequality violation or computational failure
-(with the reason in the report), 2 usage error.  Reports are deterministic:
-fixed field order and floats printed with 17 significant digits.
+(with the reason in the report of ``verify`` and ``sweep``, on stderr for the
+other two), 2 usage error.  Reports are deterministic: fixed field order and
+floats printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -157,9 +158,16 @@ def _write_report(report: dict, fmt: str, output: str | None,
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config_overrides(args: argparse.Namespace, allowed: tuple[str, ...]) -> None:
-    """Fill unset args from a --config JSON file (flags win over the file)."""
-    if not getattr(args, "config", None):
+def _load_config_overrides(args: argparse.Namespace) -> None:
+    """Fill unset args from a --config JSON file (flags win over the file).
+
+    The fields are the subcommand's flags.  Each value becomes that flag's
+    tokens, parsed by the subcommand's own parser, so it is checked and
+    converted as on the command line.  A list holds a flag's several values
+    or the values of a repeated flag, a switch takes true or false, and null
+    leaves a field unset.
+    """
+    if not args.config:
         return
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -168,12 +176,35 @@ def _load_config_overrides(args: argparse.Namespace, allowed: tuple[str, ...]) -
         raise UsageError(f"--config: cannot read {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("--config: top level must be a JSON object")
+    actions = {a.dest: a for a in args.parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    fields, argv = {}, []
     for key, value in data.items():
-        field = key.replace("-", "_")
-        if field not in allowed:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"--config: unknown field {key!r}")
-        if getattr(args, field, None) is None:
-            setattr(args, field, value)
+        if value is None:
+            continue
+        fields[action.dest] = value
+        flag, values = action.option_strings[0], value if isinstance(value, list) else [value]
+        if action.nargs == 0 and isinstance(value, bool):
+            argv += [flag] * value
+        elif action.nargs is None:  # "=" lets a value start with "-"
+            argv += [f"{flag}={v}" for v in values]
+        else:
+            argv += [flag, *map(str, values)]
+    args.parser.exit_on_error = False  # the parser serves this one call
+    try:
+        parsed, extra = args.parser.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"--config: {exc}") from exc
+    if extra:
+        raise UsageError(f"--config: unexpected values {' '.join(extra)}")
+    for field, value in fields.items():
+        if isinstance(value, list) and not isinstance(getattr(parsed, field), list):
+            raise UsageError(f"--config: {field} takes one value, got {value!r}")
+        if getattr(args, field) is None:
+            setattr(args, field, getattr(parsed, field))
 
 
 def _quad_spec(args) -> QuadratureSpec:
@@ -195,9 +226,6 @@ def _status_exit(status: str) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_VERIFY_FIELDS = ("theorem", "f", "rect", "alpha", "beta", "h", "p", "nodes",
-                  "rel_tol", "abs_tol", "format", "output")
 
 _VERIFY_DEFAULTS = {"nodes": 64, "rel_tol": 1e-9, "abs_tol": 1e-8, "format": "text"}
 
@@ -295,7 +323,6 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
 
 
 def _cmd_verify(args) -> int:
-    _load_config_overrides(args, _VERIFY_FIELDS)
     _apply_defaults(args, _VERIFY_DEFAULTS)
     for required in ("theorem", "f", "rect", "alpha", "beta"):
         if getattr(args, required) is None:
@@ -402,11 +429,7 @@ def _sweep_row_from(config: dict, status: str, result: dict,
     return row
 
 
-_SWEEP_FIELDS = _VERIFY_FIELDS + ("axis", "jobs")
-
-
 def _cmd_sweep(args) -> int:
-    _load_config_overrides(args, _SWEEP_FIELDS)
     _apply_defaults(args, {"format": "csv", "jobs": 1})
     _apply_defaults(args, _VERIFY_DEFAULTS)
     for required in ("theorem", "f", "rect"):
@@ -469,6 +492,8 @@ def _cmd_sweep(args) -> int:
         try:
             status, result = _run_theorem(ns, parse)
             error = None
+        except UsageError:
+            raise
         except HHFracError as exc:
             status, result, error = "error", {}, f"{type(exc).__name__}: {exc}"
         return _sweep_row_from(cfg, status, result, error)
@@ -495,13 +520,11 @@ def _cmd_sweep(args) -> int:
 # check-hconvex
 # ---------------------------------------------------------------------------
 
-_CHECK_FIELDS = ("f", "h", "rect", "grid", "tol", "concave", "format", "output")
 _CHECK_COLUMNS = ("verdict", "samples_checked", "worst_violation", "tol",
                   "witness", "message")
 
 
 def _cmd_check(args) -> int:
-    _load_config_overrides(args, _CHECK_FIELDS)
     _apply_defaults(args, {"grid": 17, "format": "text", "concave": False})
     for required in ("f", "h", "rect"):
         if getattr(args, required) is None:
@@ -557,12 +580,7 @@ def _cmd_check(args) -> int:
 # frac-integrate
 # ---------------------------------------------------------------------------
 
-_FRAC_FIELDS = ("f1", "f", "alpha", "beta", "side", "corner", "interval",
-                "rect", "at", "nodes", "rel_tol", "format", "output")
-
-
 def _cmd_frac(args) -> int:
-    _load_config_overrides(args, _FRAC_FIELDS)
     _apply_defaults(args, {"nodes": 64, "rel_tol": 1e-9, "format": "text"})
     if (args.f1 is None) == (args.f is None):
         raise UsageError("give exactly one of --f1 (one variable) or --f (two variables)")
@@ -674,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", nargs="+", type=float, default=None)
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_frac)
+    p.set_defaults(handler=_cmd_frac, parser=p)
 
     p = sub.add_parser("check-hconvex", help="sampled coordinate h-convexity check")
     p.add_argument("--f", default=None)
@@ -686,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concave", action="store_true", default=None,
                    help="check the reversed (h-concave) inequality")
     _add_common(p)
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, parser=p)
 
     p = sub.add_parser("verify", help="evaluate one inequality or the identity")
     p.add_argument("--theorem", choices=("t1", "t4", "t5", "t6", "lemma1"), default=None)
@@ -699,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, parser=p)
 
     p = sub.add_parser("sweep", help="verify over a parameter grid")
     p.add_argument("--theorem", choices=("t1", "t4", "t5", "t6", "lemma1"), default=None)
@@ -718,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "order on one thread; at least 1; to be removed"))
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, parser=p)
 
     return parser
 
@@ -727,6 +745,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _load_config_overrides(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ weakly singular kernel is removed exactly by the substitution behind
 
 after which standard Gauss-Legendre converges spectrally for smooth ``f``.
 Every public value is the finer of two refinement levels (``n`` and ``2n``
-nodes per axis); their disagreement plus the round-off floor of the finer
-level's summed terms is the reported error estimate.
+nodes per axis) from :func:`hhfrac.quadrature.two_level`; their disagreement
+plus the round-off floor of the finer level's summed terms is the reported
+error estimate.
 
 The graded nodes move with the order, so each order resamples ``f``.  The
 theorem quantities in :mod:`hhfrac.certify` first try the product rule of
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .quadrature import check_two_level, gauss_legendre_01, power_weighted_rule
+from .quadrature import gauss_legendre_01, power_weighted_rule, two_level
 from .special import gamma
 
 __all__ = [
@@ -274,15 +275,13 @@ def frac_integral_1d_with_estimate(
         raise DomainError(f"order must be positive, got {order}")
     _check_at_1d(side, interval, at)
     ev = _as_evaluator(f)
-    results = []
-    for n in (spec.nodes_per_axis, 2 * spec.nodes_per_axis):
+
+    def level(n):
         pts, w, scale = _axis_samples(order, side, interval, at, n)
         vals = _sample_1d(ev, pts)
-        results.append(scale * float(np.dot(w, vals)))
-    magnitude = scale * float(np.dot(w, np.abs(vals)))  # rule weights are >= 0
-    est = check_two_level(results[0], results[1], magnitude, spec.target_rel_tol,
-                          "1d fractional integral")
-    return results[1], est
+        # The magnitude needs no |w|: the rule weights are >= 0.
+        return scale * float(np.dot(w, vals)), scale * float(np.dot(w, np.abs(vals)))
+    return two_level(level, spec, "1d fractional integral")
 
 
 def frac_integral_1d(
@@ -318,16 +317,13 @@ def frac_integral_2d_with_estimate(
     """
     _check_at_2d(corner, rect, at)
     ev = _as_evaluator(f)
-    results = []
-    for n in (spec.nodes_per_axis, 2 * spec.nodes_per_axis):
+
+    def level(n):
         xs, wx, sx = _axis_samples(order.alpha, corner.x_side, rect.x, at[0], n)
         ys, wy, sy = _axis_samples(order.beta, corner.y_side, rect.y, at[1], n)
         vals = _sample_2d(ev, xs, ys)
-        results.append(sx * sy * float(wx @ vals @ wy))
-    magnitude = sx * sy * float(wx @ np.abs(vals) @ wy)
-    est = check_two_level(results[0], results[1], magnitude, spec.target_rel_tol,
-                          "2d fractional integral")
-    return results[1], est
+        return sx * sy * float(wx @ vals @ wy), sx * sy * float(wx @ np.abs(vals) @ wy)
+    return two_level(level, spec, "2d fractional integral")
 
 
 def frac_integral_2d(

@@ -183,18 +183,30 @@ def table_pieces(h: HWeight) -> tuple[tuple[float, float, float, float], ...]:
 
 
 def load_table(path: str) -> HWeight:
-    """Read a table weight from a text file of ``t h`` lines ('#' comments)."""
+    """Read a table weight from a text file of ``t h`` lines ('#' comments).
+
+    Every failure, from an unreadable file to knots that are out of order,
+    raises :class:`DomainError` naming the path (and the line, where there
+    is one)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read h table {path}: {exc}") from exc
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DomainError(f"bad table line {line!r} in {path}")
-            points.append((float(parts[0]), float(parts[1])))
-    return HWeight.from_table(points)
+    for number, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            t, h = map(float, line.replace(",", " ").split())
+        except ValueError:
+            raise DomainError(f"bad table line {number} in {path}: {line!r}") from None
+        points.append((t, h))
+    try:
+        return HWeight.from_table(points)
+    except DomainError as exc:
+        raise DomainError(f"h table {path}: {exc}") from exc
 
 
 def parse_hweight(text: str) -> HWeight:

@@ -28,10 +28,11 @@ Three rules cover every integral in the package:
 The h-moment integrals need no rule: every weight family has a closed form
 (see :mod:`hhfrac.certify`).
 
-Error estimates are two-level refinement disagreements plus a round-off
-floor, so a reported estimate is never smaller than what double precision can
-resolve.  The floor scales with the summed magnitude ``sum |w_i f(u_i)|`` of
-the rule's terms rather than with the result: when the terms cancel, the
+Every ``(value, error)`` of a rule comes from :func:`two_level`: the finer
+of two refinement levels, with their disagreement plus a round-off floor as
+the error, so a reported estimate is never smaller than what double precision
+can resolve.  The floor scales with the summed magnitude ``sum |w_i f(u_i)|``
+of the rule's terms rather than with the result: when the terms cancel, the
 rounding in each term (and in the graded nodes ``u = v^p`` and weights they
 were built from) survives the cancellation, so a floor proportional to
 ``|result|`` alone would fall below the noise between converged levels.  This
@@ -221,18 +222,24 @@ def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.n
     return omega, rho
 
 
-def check_two_level(coarse: float, fine: float, magnitude: float,
-                    target_rel_tol: float, what: str) -> float:
-    """Return the two-level error estimate, raising on gross disagreement.
+def two_level(level, spec, what: str, fallback=None) -> tuple[float, float]:
+    """``(value, error)`` of a rule at ``spec.nodes_per_axis`` and twice that.
 
-    The estimate is the level disagreement plus :func:`error_floor` of
-    ``magnitude``, the summed term magnitude of the finer level.
+    ``level(n)`` returns the rule's value and summed term magnitude with ``n``
+    nodes per axis.  The value is the finer level's, the error the level gap
+    plus :func:`error_floor` of the finer magnitude.  A gap beyond
+    ``target_rel_tol * max(1, |fine|)`` returns ``fallback()`` if one is
+    given; without one, a gap ``NONCONVERGENCE_FACTOR`` times that raises.
     """
-    est = abs(coarse - fine) + error_floor(magnitude)
+    coarse, _ = level(spec.nodes_per_axis)
+    fine, magnitude = level(2 * spec.nodes_per_axis)
+    gap = abs(coarse - fine)
     scale = max(1.0, abs(fine))
-    if abs(coarse - fine) > NONCONVERGENCE_FACTOR * target_rel_tol * scale:
+    if fallback is not None and gap > spec.target_rel_tol * scale:
+        return fallback()
+    if gap > NONCONVERGENCE_FACTOR * spec.target_rel_tol * scale:
         raise QuadratureNonConvergenceError(
-            f"{what}: refinement levels disagree by {abs(coarse - fine):.3e} "
-            f"(limit {NONCONVERGENCE_FACTOR * target_rel_tol * scale:.3e})"
+            f"{what}: refinement levels disagree by {gap:.3e} "
+            f"(limit {NONCONVERGENCE_FACTOR * spec.target_rel_tol * scale:.3e})"
         )
-    return est
+    return fine, gap + error_floor(magnitude)

@@ -9,14 +9,12 @@ from hhfrac.certify import (
     HolderExponents,
     KINK_NOTE,
     MOMENT_WEIGHT_NOTE,
-    a_term,
     a_term_with_estimate,
     corollary_moment_c1,
     corollary_moment_c2,
     corollary_moment_c3,
     h_moment_m,
     lemma1_residual,
-    middle_fractional_term,
     middle_fractional_term_with_estimate,
     theorem1_chain,
     theorem4_chain,
@@ -70,28 +68,29 @@ def brute_a_term(f, alpha, beta, a, b, c, d, cells=400_000):
 
 class TestMiddleFractionalTerm:
     def test_bilinear_order_one(self):
-        got = middle_fractional_term(PRODUCT, FracOrder(1, 1), UNIT_SQ)
+        got, _ = middle_fractional_term_with_estimate(PRODUCT, FracOrder(1, 1), UNIT_SQ)
         assert got == pytest.approx(0.25, rel=1e-12)
 
     @pytest.mark.parametrize("order", [(0.5, 0.5), (1.0, 2.0), (1.7, 0.3)])
     def test_constant_is_one(self, order):
-        got = middle_fractional_term(CONSTANT_ONE, FracOrder(*order), UNIT_SQ)
+        got, _ = middle_fractional_term_with_estimate(CONSTANT_ONE, FracOrder(*order), UNIT_SQ)
         assert got == pytest.approx(1.0, rel=1e-11)
 
     def test_biquadratic_against_brute_oracle(self):
         brute = brute_mft(lambda x, y: (x * y) ** 2, 0.5, 0.5, 0, 1, 0, 1)
-        got = middle_fractional_term(BIQUADRATIC, FracOrder(0.5, 0.5), UNIT_SQ)
+        got, _ = middle_fractional_term_with_estimate(BIQUADRATIC, FracOrder(0.5, 0.5),
+                                                      UNIT_SQ)
         assert got == pytest.approx(brute, rel=1e-6)
 
     def test_requires_nonneg_origin(self):
         with pytest.raises(DomainError):
-            middle_fractional_term(PRODUCT, FracOrder(1, 1),
-                                   Rectangle.from_bounds(-1, 1, 0, 1))
+            middle_fractional_term_with_estimate(PRODUCT, FracOrder(1, 1),
+                                                 Rectangle.from_bounds(-1, 1, 0, 1))
 
 
 class TestATerm:
     def test_bilinear_order_one(self):
-        got = a_term(PRODUCT, FracOrder(1, 1), UNIT_SQ)
+        got, _ = a_term_with_estimate(PRODUCT, FracOrder(1, 1), UNIT_SQ)
         assert got == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("order", [(0.5, 0.5), (1.0, 2.0), (1.7, 0.3)])
@@ -99,12 +98,12 @@ class TestATerm:
         # every section integral reproduces the normalizing power, so each
         # bracket contributes 1; forced to 2 by the two-sided identity with
         # corner average 1, middle term 1 and vanishing derivative side
-        got = a_term(CONSTANT_ONE, FracOrder(*order), UNIT_SQ)
+        got, _ = a_term_with_estimate(CONSTANT_ONE, FracOrder(*order), UNIT_SQ)
         assert got == pytest.approx(2.0, rel=1e-11)
 
     def test_exp_against_brute_oracle(self):
         brute = brute_a_term(lambda x, y: np.exp(x + y), 0.5, 1.5, 0, 1, 0, 1)
-        got = a_term(EXPSUM, FracOrder(0.5, 1.5), UNIT_SQ)
+        got, _ = a_term_with_estimate(EXPSUM, FracOrder(0.5, 1.5), UNIT_SQ)
         assert got == pytest.approx(brute, rel=1e-8)
 
 

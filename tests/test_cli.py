@@ -345,3 +345,87 @@ class TestArgparseContract:
             "--alpha", "1", "--beta", "1", "--config", str(cfg),
         )
         assert code == 2 and field in err
+
+    CONFIG_CASES = [
+        ({"theorem": "t9"}, "verify", "--theorem"),
+        ({"grid": "abc"}, "check-hconvex", "--grid"),
+        ({"nodes": "x"}, "verify", "--nodes"),
+        ({"rect": 5}, "verify", "--rect"),
+        ({"format": "xml"}, "verify", "--format"),
+        ({"concave": "yes"}, "check-hconvex", "yes"),
+        ({"f": ["x", "y"]}, "verify", "f takes one value"),
+        ({"help": True}, "verify", "unknown field 'help'"),
+    ]
+    BASE = {
+        "verify": {"theorem": ["t1"], "f": ["x*y"], "rect": ["0", "1", "0", "1"],
+                   "alpha": ["1"], "beta": ["1"]},
+        "check-hconvex": {"f": ["x*y"], "h": ["identity"], "rect": ["0", "1", "0", "1"]},
+    }
+
+    @pytest.mark.parametrize("data, command, named", CONFIG_CASES,
+                             ids=[str(c[0]) for c in CONFIG_CASES])
+    def test_bad_config_values_are_usage_errors(self, capsys, tmp_path, data, command, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        # A file value fills only an unset flag, so leave out the one it names.
+        argv = [token for flag, values in self.BASE[command].items() if flag not in data
+                for token in (f"--{flag}", *values)]
+        code, out, err = run_cli(capsys, command, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --config") and named in err
+
+    @pytest.mark.parametrize("command, flags, data", [
+        ("verify", ("--theorem", "t6", "--f=-x*y+3", "--rect", "0", "1", "0.5", "2",
+                    "--alpha", "0.5", "--beta", "1.5", "--h", "power:0.5", "--p", "2",
+                    "--nodes", "16", "--rel-tol", "1e-8", "--abs-tol", "1e-7"),
+         {"theorem": "t6", "f": "-x*y+3", "rect": [0, 1, 0.5, 2], "alpha": 0.5, "beta": 1.5,
+          "h": "power:0.5", "p": 2, "nodes": 16, "rel-tol": 1e-8, "abs_tol": 1e-7}),
+        ("sweep", ("--theorem", "t1", "--f", "x*y", "--rect", "0", "1", "0", "1",
+                   "--axis", "alpha=1,2", "--axis", "beta=0.5", "--jobs", "2"),
+         {"theorem": "t1", "f": "x*y", "rect": [0, 1, 0, 1],
+          "axis": ["alpha=1,2", "beta=0.5"], "jobs": 2}),
+        ("check-hconvex", ("--f", "x*y", "--h", "identity", "--rect", "0", "1", "0", "1",
+                           "--grid", "5", "--tol", "1e-9", "--concave"),
+         {"f": "x*y", "h": "identity", "rect": [0, 1, 0, 1], "grid": 5, "tol": 1e-9,
+          "concave": True}),
+        ("frac-integrate", ("--f1", "t", "--alpha", "0.5", "--side", "right",
+                            "--interval", "0", "2", "--at", "0.5"),
+         {"f1": "t", "alpha": 0.5, "side": "right", "interval": [0, 2], "at": 0.5}),
+    ])
+    def test_config_values_parse_as_their_flags(self, capsys, tmp_path, command, flags, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        from_flags = run_json(capsys, command, *flags)
+        assert run_json(capsys, command, "--config", str(cfg)) == from_flags
+
+
+class TestTableFileErrors:
+    """A table weight that cannot be loaded is a usage error naming the file."""
+
+    @pytest.fixture(params=["missing", "directory", "not utf-8", "non-numeric", "unordered"])
+    def table(self, request, tmp_path):
+        path = tmp_path / "h.txt"
+        named = "cannot read"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "not utf-8":
+            path.write_bytes(b"0 1\n\xff 1\n")
+        elif request.param == "non-numeric":
+            path.write_text("# t h\n0 1\n0.5 abc\n1 1\n")
+            named = "bad table line 3"
+        elif request.param == "unordered":
+            path.write_text("0 1\n0.5 2\n0.2 1\n")
+            named = "strictly increasing"
+        return path, named
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--theorem", "t4", "--f", "x*y", "--alpha", "1", "--beta", "1"),
+        ("sweep", "--theorem", "t4", "--f", "x*y", "--beta", "1", "--axis", "alpha=1,2"),
+        ("check-hconvex", "--f", "x*y"),
+    ], ids=lambda argv: argv[0])
+    def test_exit_2(self, capsys, table, argv):
+        path, named = table
+        code, out, err = run_cli(capsys, *argv, "--rect", "0", "1", "0", "1",
+                                 "--h", f"table:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and str(path) in err and named in err

@@ -18,6 +18,7 @@ from hhfrac.hweights import (
     check_coordinate_h_convex,
     h_eval,
     inequality_deficit,
+    load_table,
     parse_hweight,
     table_pieces,
 )
@@ -105,6 +106,20 @@ class TestParseHWeight:
         p.write_text("# knots\n0.0 1.0\n0.5, 2.0\n1.0 1.0\n")
         h = parse_hweight(f"table:{p}")
         assert h.family is HFamily.TABLE and len(h.table) == 3
+
+    def test_table_file_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "h.txt"
+        with pytest.raises(DomainError, match=f"cannot read h table {p}"):
+            load_table(str(p))
+        p.write_text("0 1\n\n1 x\n")
+        with pytest.raises(DomainError, match=f"bad table line 3 in {p}: '1 x'"):
+            load_table(str(p))
+        p.write_text("0 1\n0.5 2 3\n")
+        with pytest.raises(DomainError, match="bad table line 2"):
+            load_table(str(p))
+        p.write_text("0 1\n0.5 -2\n")
+        with pytest.raises(DomainError, match=f"h table {p}: "):
+            load_table(str(p))
 
     def test_bad(self):
         with pytest.raises(DomainError):

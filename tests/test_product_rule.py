@@ -33,17 +33,35 @@ UNIT_SQ = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
 OFF_SQ = Rectangle.from_bounds(0.5, 2.0, 0.25, 1.5)
 SPEC = QuadratureSpec()
 
-PRODUCT_PATHS = ("_product_middle", "_product_a_term", "_product_kernel_integral")
 SMOOTH = ("exp(x+y)", "x^2*y^2", "2+sin(5*x*y)", "exp(x+y)*sin(x*y)+x^3*y^2")
 ORDERS = ((0.7, 1.3), (0.2, 0.5), (2.5, 1.0))
 
 
 def graded(monkeypatch, fn, *args):
-    """``fn(*args)`` with the product rule switched off."""
+    """``fn(*args)`` with the product rule switched off: every two-level
+    estimate in certify that has a fallback takes it."""
+    def fallback_always(level, spec, what, fallback=None):
+        return fallback() if fallback else quadrature.two_level(level, spec, what)
+
     with monkeypatch.context() as m:
-        for name in PRODUCT_PATHS:
-            m.setattr(certify, name, lambda *a: None)
+        m.setattr(certify, "two_level", fallback_always)
         return fn(*args)
+
+
+def fallbacks(monkeypatch, fn, *args) -> list[str]:
+    """The two-level estimates whose fallback ran in ``fn(*args)``."""
+    ran = []
+
+    def recording(level, spec, what, fallback=None):
+        def recorded():
+            ran.append(what)
+            return fallback()
+        return quadrature.two_level(level, spec, what, recorded if fallback else None)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "two_level", recording)
+        fn(*args)
+    return ran
 
 
 def with_exact_partial(src: str) -> BivariateFunction:
@@ -69,10 +87,8 @@ class TestAgreesWithGradedRules:
     def test_middle_a_and_rhs(self, monkeypatch, src, order, rect):
         f = with_exact_partial(src)
         order = FracOrder(*order)
-        assert certify._product_middle(f, order, rect, SPEC) is not None
-        assert certify._product_a_term(f, order, rect, SPEC) is not None
-        assert certify._product_kernel_integral(f, order, rect, SPEC) is not None
         for fn, args in quantities(f, order, rect):
+            assert fallbacks(monkeypatch, fn, *args) == [], fn.__name__
             value, err = fn(*args)
             ref, ref_err = graded(monkeypatch, fn, *args)
             assert value == pytest.approx(ref, rel=1e-11), fn.__name__
@@ -88,8 +104,9 @@ class TestFallback:
     def test_bit_identical_to_graded(self, monkeypatch, src, order):
         f = parse_function_spec(src)
         order = FracOrder(*order)
-        assert certify._product_middle(f, order, UNIT_SQ, SPEC) is None
-        assert certify._product_a_term(f, order, UNIT_SQ, SPEC) is None
+        (middle, middle_args), (a, a_args), _ = quantities(f, order, UNIT_SQ)
+        assert fallbacks(monkeypatch, middle, *middle_args) == ["product-rule middle term"]
+        assert fallbacks(monkeypatch, a, *a_args) == ["product-rule A term"]
         for fn, args in quantities(f, order, UNIT_SQ)[:2]:
             assert fn(*args) == graded(monkeypatch, fn, *args)
         h = HWeight.power(0.5)

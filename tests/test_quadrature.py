@@ -6,12 +6,16 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import eval_legendre
 
+from hhfrac.errors import QuadratureNonConvergenceError
+from hhfrac.fracquad import QuadratureSpec
 from hhfrac.quadrature import (
+    NONCONVERGENCE_FACTOR,
     error_floor,
     gauss_legendre_01,
     grading_exponent,
     power_weighted_rule,
     product_weights,
+    two_level,
 )
 
 
@@ -73,6 +77,64 @@ class TestPowerWeightedRule:
 def test_error_floor_positive():
     assert error_floor(0.0) > 0.0
     assert error_floor(1e6) > error_floor(1.0)
+
+
+class TestTwoLevel:
+    """The shared two-level decision, on fake rules whose levels are given."""
+
+    SPEC = QuadratureSpec(nodes_per_axis=8, target_rel_tol=1e-9)
+
+    def rule(self, coarse, fine, magnitude=3.0):
+        """A rule with the given level values; the coarse magnitude is NaN,
+        because only the finer level's may enter the error."""
+        calls = []
+
+        def level(n):
+            calls.append(n)
+            return (coarse, math.nan) if n == 8 else (fine, magnitude)
+        return level, calls
+
+    def test_levels_and_error(self):
+        level, calls = self.rule(1.25 + 3e-10, 1.25)
+        value, error = two_level(level, self.SPEC, "demo")
+        assert calls == [8, 16]
+        assert value == 1.25
+        assert error == abs((1.25 + 3e-10) - 1.25) + error_floor(3.0)
+
+    @pytest.mark.parametrize("fine, gap, falls_back", [
+        (0.0, 1e-9, False),  # exactly the limit tol * max(1, |fine|)
+        (0.0, float(np.nextafter(1e-9, 1.0)), True),
+        (0.5, 0.9e-9, False),  # |fine| < 1 keeps the absolute floor of one
+        (0.5, 2e-9, True),
+        (-40.0, 2e-8, False),  # the limit scales with |fine|
+        (-40.0, 8e-8, True),
+        (0.0, 1.0, True),  # far beyond the non-convergence limit
+    ])
+    def test_fallback_iff_gap_exceeds_the_target(self, fine, gap, falls_back):
+        coarse = fine + gap
+        limit = self.SPEC.target_rel_tol * max(1.0, abs(fine))
+        assert (abs(coarse - fine) > limit) == falls_back  # the case is what it claims
+        level, _ = self.rule(coarse, fine)
+        got = two_level(level, self.SPEC, "demo", fallback=lambda: "fallback")
+        assert (got == "fallback") == falls_back
+        if not falls_back:
+            assert got == (fine, abs(coarse - fine) + error_floor(3.0))
+
+    def test_without_fallback_raises_beyond_the_factor(self):
+        level, _ = self.rule(1.5e-7, 0.0)
+        with pytest.raises(QuadratureNonConvergenceError) as ei:
+            two_level(level, self.SPEC, "demo integral")
+        assert str(ei.value) == ("demo integral: refinement levels disagree by 1.500e-07 "
+                                 "(limit 1.000e-07)")
+        # The limit scales with the finer value only.
+        level, _ = self.rule(-3.0, 0.0)
+        with pytest.raises(QuadratureNonConvergenceError) as ei:
+            two_level(level, self.SPEC, "demo integral")
+        assert str(ei.value).endswith("by 3.000e+00 (limit 1.000e-07)")
+        # Within the factor the gap is only reported.
+        inside = 0.5 * NONCONVERGENCE_FACTOR * self.SPEC.target_rel_tol
+        level, _ = self.rule(inside, 0.0)
+        assert two_level(level, self.SPEC, "demo integral") == (0.0, inside + error_floor(3.0))
 
 
 # ---------------------------------------------------------------------------
