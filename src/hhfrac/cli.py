@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -264,11 +265,13 @@ def _verify_config_dict(args) -> dict:
     }
 
 
-def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
+def _run_theorem(args, parse=parse_function_spec,
+                 parse_h=parse_hweight) -> tuple[str, dict]:
     """Returns (status, result-dict) for one verify-style evaluation.
 
-    ``parse`` turns ``args.f`` into a function; sweep passes one that hands
-    every row the same parsed instance, so the rows share its samples.
+    ``parse`` turns ``args.f`` into a function and ``parse_h`` turns
+    ``args.h`` into a weight; sweep passes ones that hand every row the same
+    parsed instance, so the rows share its samples and read a table once.
     """
     # Construction problems are usage errors; anything after is computation.
     try:
@@ -276,7 +279,7 @@ def _run_theorem(args, parse=parse_function_spec) -> tuple[str, dict]:
         order = FracOrder(float(args.alpha), float(args.beta))
         spec = _quad_spec(args)
         f = parse(args.f)
-        h = parse_hweight(args.h) if args.h is not None else None
+        h = parse_h(args.h) if args.h is not None else None
         pq = HolderExponents.from_p(float(args.p)) if args.theorem == "t6" else None
         abs_tol = float(args.abs_tol)
     except UsageError:
@@ -472,25 +475,15 @@ def _cmd_sweep(args) -> int:
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
 
-    # Each distinct f is parsed once, before the rows run, so every row
-    # reuses the samples cached on it.
-    parsed = {}
-    for text in dict.fromkeys(cfg["f"] for cfg in row_configs):
-        try:
-            parsed[text] = parse_function_spec(text)
-        except HHFracError as exc:
-            parsed[text] = exc
-
-    def parse(text: str):
-        f = parsed[text]
-        if isinstance(f, HHFracError):
-            raise f
-        return f
+    # Each distinct f and h text is parsed once, so every row reuses the
+    # samples cached on f and a table file is read once.
+    parse = functools.cache(parse_function_spec)
+    parse_h = functools.cache(parse_hweight)
 
     def run_row(cfg: dict) -> dict:
         ns = argparse.Namespace(**cfg)
         try:
-            status, result = _run_theorem(ns, parse)
+            status, result = _run_theorem(ns, parse, parse_h)
             error = None
         except UsageError:
             raise

@@ -16,9 +16,12 @@ The inequality is unchanged under (t, x, y) -> (1-t, y, x) and under
 (k, u, w) -> (1-k, w, u), and the t grid is symmetric, so the certifier
 evaluates only the pairs x <= y and u <= w and still covers every sampled
 configuration; ``samples_checked`` counts the configurations covered.  On a
-uniform grid the combination abscissas t*x + (1-t)*y take few distinct
-values, so f is evaluated once per distinct abscissa and the left sides are
-gathered from that table.
+uniform grid t_j*x_i1 + (1-t_j)*x_i2 = a + (b-a)*m/(g-1)^2 at the integer
+lattice coordinate m = j*i1 + (g-1-j)*i2, and few m are distinct, so f is
+evaluated once per distinct m, at that lattice value, and the left sides are
+gathered from that table; the ordinates k*u + (1-k)*w likewise.  So points
+equal in exact arithmetic are one float, every sample lies in the rectangle,
+and every grid abscissa is a combination abscissa (of the pair x = y).
 
 Most passes are settled without comparing every configuration.  With
 v = k*u + (1-k)*w each deficit splits exactly into the deficit in x of the
@@ -241,7 +244,8 @@ _BLOCK_BYTES = 1 << 18
 
 #: Largest ``grid`` the certifier accepts.  A few of its arrays hold
 #: O(grid^3) values, about 1 MB each at 64.  Its time grows as grid^5 for a
-#: pass the sections settle (about 4 s at 64) and as grid^6 for the sweep.
+#: pass the sections settle (about 0.5 s at 64 on 2 vCPUs) and as grid^6 for
+#: the sweep.
 MAX_GRID = 64
 
 _EPS = float(np.finfo(float).eps)
@@ -253,8 +257,11 @@ class ConvexityCertificate:
 
     ``witness`` is ``(t, k, (x, u), (y, w))`` at the worst violation, with
     x <= y and u <= w; the deficit there, re-evaluated independently of the
-    vectorized sweep, is stored in ``witness_deficit``.  A pass only means no
-    violation was found among the sampled configurations.
+    vectorized sweep, is stored in ``witness_deficit``.  The sweep samples f
+    at the lattice value of t*x + (1-t)*y (see the module docstring), which a
+    recomputed t*x + (1-t)*y may miss by an ulp, so the two deficits may
+    differ by the rounding of f there.  A pass only means no violation was
+    found among the sampled configurations.
     """
 
     verdict: str  # "pass" | "fail"
@@ -326,6 +333,13 @@ def _section_bound(d1: float, d2: float, hsum: float, scale: float) -> float:
     return d1 + hsum * max(d2, 0.0) + margin
 
 
+def _lattice(lo: float, hi: float, grid_pts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The combination points lo + (hi-lo)*m/(g-1)^2 at lattice coordinates
+    ``m``; at a multiple of g-1 the grid point itself, bit for bit."""
+    g1 = grid_pts.size - 1
+    return np.where(m % g1 == 0, grid_pts[m // g1], lo + (hi - lo) * (m / g1**2))
+
+
 def _eval_table(ev, xs: np.ndarray, ys: np.ndarray):
     """f over xs x ys, expanded to that shape, and its largest |f|; None
     where f raises or is not finite, so that the sweep decides."""
@@ -339,7 +353,7 @@ def _eval_table(ev, xs: np.ndarray, ys: np.ndarray):
     return np.broadcast_to(vals, (xs.size, ys.size)), max(-lo, hi)
 
 
-def _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction):
+def _section_test(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
     """The tolerance of the pass the sweep would certify, if a bound settles
     it without the sweep; None when the bound cannot.
 
@@ -352,18 +366,17 @@ def _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction):
     d2; the concave direction negates both (Dragomir, Taiwanese J. Math. 5
     (2001) 775-788, for the partial-mapping form of coordinate convexity).
 
-    The sections are evaluated at the sweep's own float abscissas ``ux`` and
-    ordinates v, so the table T = f(ux, v) holds exactly the sweep's left
-    sides and max |f| over F and T is the sweep's.  f(x_i, v) is evaluated
-    too; for a weight infinite at t in {0, 1} these are not sweep points, so
-    they stay out of the tolerance, and if f fails there the sweep decides.
+    The sections are evaluated at the sweep's own lattice abscissas ``ux``
+    and ordinates ``uy``, so the table T = f(ux, v) holds exactly the sweep's
+    left sides and max |f| over F and T is the sweep's.  The grid abscissas
+    are lattice points too, rows ``gx`` of T, so f(x_i, v) is read from T;
+    where f fails in T the sweep decides, and fails there as well.
     The ordinates are walked in chunks within ``_BLOCK_BYTES``; a chunk takes
     its d2 first, and the walk stops as soon as the bound exceeds the
     tolerance, which only hands the case to the sweep.
     """
-    g, npair, nt = xg.size, i1.size, ht.size
-    uy, IY = np.unique(Y, return_inverse=True)
-    IY = IY.ravel()
+    g, npair, nt = gx.size, i1.size, ht.size
+    IY = IX.ravel()  # the ordinates share the abscissas' lattice coordinates
     # (k, ordinate pair) configurations, flat index k*npair + q, grouped by v.
     by_v = np.argsort(IY, kind="stable")
     v_start = np.searchsorted(IY[by_v], np.arange(uy.size + 1))
@@ -380,21 +393,21 @@ def _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction):
     buf_d, buf_l = np.empty((2, tc * npair * vc))
 
     max_abs_f = float(np.abs(F).max())
-    scale = max_abs_f
     d1 = d2 = -math.inf
 
     def exceeded(m):
         # NaN in m or in the bound lands here too.
-        bound = _section_bound(d1, d2, hsum, scale)
+        bound = _section_bound(d1, d2, hsum, max_abs_f)
         return not (math.isfinite(m) and bound <= _tolerance(tol, max_abs_f))
 
     for v0 in range(0, uy.size, vc):
         vs = uy[v0:v0 + vc]
-        got = _eval_table(ev, xg, vs)
+        got = _eval_table(ev, ux, vs)
         if got is None:
             return None
-        Fx, fx_max = got
-        scale = max(scale, fx_max)
+        T, t_max = got
+        max_abs_f = max(max_abs_f, t_max)
+        Fx = T[gx]  # f(x_i, v)
         for s0 in range(v_start[v0], v_start[v0 + vs.size], sc):
             sel = by_v[s0:min(s0 + sc, v_start[v0 + vs.size])]
             ks, qs = np.divmod(sel, npair)
@@ -406,12 +419,6 @@ def _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction):
             if exceeded(m):
                 return None
 
-        got = _eval_table(ev, ux, vs)
-        if got is None:
-            return None
-        T, t_max = got
-        max_abs_f = max(max_abs_f, t_max)
-        scale = max(scale, max_abs_f)
         A1, A2 = Fx[i1], Fx[i2]
         for t0 in range(0, nt, tc):
             ts = slice(t0, t0 + tc)
@@ -455,15 +462,16 @@ def check_coordinate_h_convex(
 
     A pass is settled first by the sections (:func:`_section_test`): f is
     evaluated on the distinct combination abscissas t*x + (1-t)*y times the
-    distinct combination ordinates k*u + (1-k)*w, and on the grid abscissas
-    times those ordinates, ``(len(ux) + grid) * len(uy)`` points; on the unit
-    square at grid 17 these are 257 of each instead of 2601 (t, pair)
-    combinations.  If the section bound stays within the tolerance the pass
-    is returned as the sweep would give it: ``worst_violation`` 0.0, the same
-    ``tol``, ``samples_checked`` and message.  Otherwise the sweep compares
-    every configuration, evaluating f at ``len(t) * len(ux) *
-    grid(grid+1)/2`` points, one table per k, and gathers each left side
-    from it; its verdict, worst violation and witness are the certificate.
+    distinct combination ordinates k*u + (1-k)*w, ``len(ux) * len(uy)``
+    points.  Both are lattice points a + (b-a)*m/(grid-1)^2 with an integer m
+    (see the module docstring): 257 of each at grid 17 and 401 at grid 21,
+    instead of 2601 and 4851 (t, pair) combinations.  If the section bound
+    stays within the tolerance the pass is returned as the sweep would give
+    it: ``worst_violation`` 0.0, the same ``tol``, ``samples_checked`` and
+    message.  Otherwise the sweep compares every configuration, evaluating f
+    at ``len(t) * len(ux) * grid(grid+1)/2`` points, one table per k, and
+    gathers each left side from it; its verdict, worst violation and witness
+    are the certificate.
     Both work in blocks of at most ``_BLOCK_BYTES`` per array and ``grid``
     may not exceed :data:`MAX_GRID`, so memory stays bounded.
     """
@@ -476,8 +484,9 @@ def check_coordinate_h_convex(
     xg = np.linspace(rect.a, rect.b, g)
     yg = np.linspace(rect.c, rect.d, g)
     tg = np.linspace(0.0, 1.0, g)
+    tj = np.arange(g)  # t index j of t_j = j/(g-1)
     if not h.finite_at_endpoints:
-        tg = tg[1:-1]
+        tg, tj = tg[1:-1], tj[1:-1]
 
     F = _sample_2d(ev, xg, yg)
     if direction == "convex" and h.family is not HFamily.IDENTITY and F.min() < 0.0:
@@ -492,18 +501,19 @@ def check_coordinate_h_convex(
 
     i1, i2 = np.triu_indices(g)  # index pairs i1 <= i2, for both axes
     npair, nt = i1.size, tg.size
-    # Combination abscissas t*x + (1-t)*y for every (t, abscissa pair) and
-    # ordinates k*u + (1-k)*w for every (k, ordinate pair).
-    X = tg[:, None] * xg[i1] + (1.0 - tg)[:, None] * xg[i2]
-    Y = tg[:, None] * yg[i1] + (1.0 - tg)[:, None] * yg[i2]
-    # Few abscissas are distinct on a uniform grid, so for each k, f fills a
-    # table over (distinct abscissa, ordinate pair), and every left side is
-    # gathered from it: L[t, p, q] = table[IX[t, p], q].
-    ux, IX = np.unique(X, return_inverse=True)
-    IX = IX.reshape(X.shape)
+    # t_j*x_i1 + (1-t_j)*x_i2 = a + (b-a)*m/(g-1)^2 at the lattice coordinate
+    # m = j*i1 + (g-1-j)*i2, and likewise for ordinates.  Few m are distinct,
+    # so for each k, f fills a table over (distinct abscissa, ordinate pair),
+    # and every left side is gathered from it: L[t, p, q] = table[IX[t, p], q].
+    um, IX = np.unique(tj[:, None] * i1 + (g - 1 - tj)[:, None] * i2,
+                       return_inverse=True)
+    IX = IX.reshape(nt, npair)
+    ux, uy = _lattice(rect.a, rect.b, xg, um), _lattice(rect.c, rect.d, yg, um)
     samples = len(tg) ** 2 * g**4
-    # A pass that the section bound settles needs no sweep.
-    settled_tol = _section_test(ev, F, xg, i1, i2, ux, IX, Y, ht, hmt, tol, direction)
+    # A pass that the section bound settles needs no sweep.  The diagonal
+    # pairs put every grid abscissa on the lattice, at m = (g-1)*i.
+    gx = np.searchsorted(um, (g - 1) * np.arange(g))
+    settled_tol = _section_test(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction)
     if settled_tol is not None:
         return _pass_certificate(samples, settled_tol, g)
     # The table is split into nq equal chunks of ordinate pairs that fit the
@@ -527,7 +537,7 @@ def check_coordinate_h_convex(
         G = ht[k] * F[:, i1] + hmt[k] * F[:, i2]
         for q0 in range(0, npair, qc):
             qs = slice(q0, q0 + qc)
-            Yq = Y[k, qs]
+            Yq = uy[IX[k, qs]]
             Lk = np.asarray(ev(ux[:, None], Yq[None, :]), dtype=float)
             lo, hi = float(Lk.min()), float(Lk.max())  # NaN propagates
             if not (math.isfinite(lo) and math.isfinite(hi)):

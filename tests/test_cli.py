@@ -1,9 +1,11 @@
+import functools
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from hhfrac import hweights
 from hhfrac.cli import MAX_SWEEP_ROWS, main
 
 
@@ -301,6 +303,31 @@ class TestSweepCommand:
         )
         assert code == 2 and "powersum" in err
 
+    def test_a_table_weight_is_read_once(self, capsys, monkeypatch, tmp_path):
+        table = Path(__file__).resolve().parents[1] / "perfbench" / "h_table.txt"
+        argv = ("sweep", "--theorem", "t4", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
+                "--h", f"table:{table}", "--axis", "alpha=0.5,1,2", "--axis", "beta=1,1.5",
+                "--nodes", "16")
+        reads = []
+        real = hweights.load_table
+
+        def load_table(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(hweights, "load_table", load_table)
+
+        def csv(name):
+            out = tmp_path / name
+            assert run_cli(capsys, *argv, "--output", str(out))[0] == 0
+            return out.read_bytes()
+
+        once = csv("once.csv")
+        assert reads == [str(table)] and once.count(b"\n") == 7
+        # parsing f and h in every row, as a sweep used to, writes the same bytes
+        monkeypatch.setattr(functools, "cache", lambda parse: parse)
+        assert csv("per_row.csv") == once and len(reads) == 7
+
     def test_oversized_axis_product_is_usage_error_in_bounded_memory(self, capsys):
         values = ",".join(str(0.001 * (i + 1)) for i in range(400))
         tracemalloc.start()
@@ -397,6 +424,20 @@ class TestArgparseContract:
         cfg.write_text(json.dumps(data))
         from_flags = run_json(capsys, command, *flags)
         assert run_json(capsys, command, "--config", str(cfg)) == from_flags
+
+
+    def test_an_expression_with_a_leading_minus_joins_its_flag(self, capsys, tmp_path):
+        argv = ("verify", "--theorem", "t1", "--rect", "0", "1", "0", "1",
+                "--alpha", "1", "--beta", "1")
+        with pytest.raises(SystemExit) as ei:
+            main([*argv, "--f", "-x*y+3"])
+        assert ei.value.code == 2
+        assert "--f: expected one argument" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"f": "-x*y+3"}))
+        joined = run_json(capsys, *argv, "--f=-x*y+3")
+        assert joined[0] == 0 and joined[1]["config"]["f"] == "-x*y+3"
+        assert run_json(capsys, *argv, "--config", str(cfg)) == joined
 
 
 class TestTableFileErrors:

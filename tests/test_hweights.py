@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,13 +365,15 @@ class TestCertifierKernel:
             return np.exp(x + y) + bend * (x - x * x)
 
         cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=g)
-        xs = np.linspace(0.0, 1.0, g).tolist()
+        xs = [Fraction(i, g - 1) for i in range(g)]
         ts = xs if h.finite_at_endpoints else xs[1:-1]
-        abscissas = {t * xs[i] + (1.0 - t) * xs[j]
+        # the combination abscissas are distinct in exact arithmetic
+        abscissas = {t * xs[i] + (1 - t) * xs[j]
                      for t in ts for i in range(g) for j in range(i, g)}
         ordinates = abscissas  # the unit square has the same grid on both axes
-        # T = f(abscissas, ordinates) and f(grid abscissas, ordinates)
-        sections = len(abscissas) * len(ordinates) + g * len(ordinates)
+        # T = f(abscissas, ordinates); its rows at the grid abscissas are
+        # the sections in y
+        sections = len(abscissas) * len(ordinates)
         sweep = len(ts) * len(abscissas) * g * (g + 1) // 2
         return cert, points, sections, sweep
 
@@ -516,34 +519,53 @@ class TestSectionTest:
         assert hweights._section_bound(d1, d2, hsum, 1.0) >= deficits.max()
         assert hweights._section_bound(d1, d2, hsum, 1.0) >= d1
 
+    @pytest.mark.parametrize("g", [4, 5, 7])
+    @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
+    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()],
+                             ids=["identity", "gl"])
+    def test_every_section_point_is_a_sweep_point(self, monkeypatch, h, rect, g):
+        # Godunova-Levin drops t = 0 and 1, yet the diagonal pairs x = y
+        # still put every grid abscissa among the combination abscissas
+        def evaluated():
+            points = set()
+
+            def f(x, y):
+                x, y = np.broadcast_arrays(x, y)
+                points.update(zip(x.ravel().tolist(), y.ravel().tolist()))
+                return 2.0 + x * y
+
+            return check_coordinate_h_convex(f, h, rect, grid=g), points
+
+        settled = record_sections(monkeypatch)
+        cert, with_sections = evaluated()
+        assert cert.passed and settled[0] is not None
+        sweep_only(monkeypatch)
+        assert evaluated() == (cert, with_sections)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "raise"])
-    def test_failures_of_f_off_the_sweep_points_are_left_to_the_sweep(
-            self, monkeypatch, bad):
-        # Godunova-Levin drops t = 0 and 1; here no combination abscissa
-        # equals the grid abscissa 1.7, so f(1.7, v) is a sweep point only
-        # for a grid ordinate v, yet the section test evaluates it for every v.
+    def test_a_failure_at_a_grid_abscissa_raises_as_in_the_sweep(self, monkeypatch, bad):
+        # f fails at the grid abscissa 1.7 off the grid ordinates.  The
+        # section test evaluates such points, and so does the sweep through
+        # the diagonal pair (1.7, 1.7) at every t.
         g = 4
-        xg = np.linspace(0.3, 1.7, g)
         yg = np.linspace(-0.9, 2.3, g)
-        tg = np.linspace(0.0, 1.0, g)[1:-1]
-        i1, i2 = np.triu_indices(g)
-        off = np.setdiff1d(xg, tg[:, None] * xg[i1] + (1.0 - tg)[:, None] * xg[i2])
-        assert off.tolist() == [1.7]
 
         def f(x, y):
-            unsampled = np.isin(x, off) & ~np.isin(y, yg)
+            unsampled = (x == 1.7) & ~np.isin(y, yg)
             if bad == "raise":
                 if unsampled.any():
-                    raise EvaluationError("f fails off the sampled points")
+                    raise EvaluationError("f fails off the grid ordinates")
                 return 2.0 + x * y
             return np.where(unsampled, bad, 2.0 + x * y)
 
-        h = HWeight.godunova_levin()
-        settled = record_sections(monkeypatch)
-        cert = check_coordinate_h_convex(f, h, NON_DYADIC, grid=g)
-        assert settled == [None] and cert.passed
+        def error():
+            with pytest.raises(EvaluationError) as info:
+                check_coordinate_h_convex(f, HWeight.godunova_levin(), NON_DYADIC, grid=g)
+            return type(info.value), str(info.value)
+
+        with_sections = error()
         sweep_only(monkeypatch)
-        assert check_coordinate_h_convex(f, h, NON_DYADIC, grid=g) == cert
+        assert error() == with_sections
 
     def test_memory_of_a_settled_pass_is_bounded_by_the_block_budget(self, monkeypatch):
         budget = 1 << 20
@@ -557,6 +579,108 @@ class TestSectionTest:
         finally:
             tracemalloc.stop()
         assert cert.passed and settled[0] is not None
-        # T alone, f over 4,158 x 4,158 distinct abscissas and ordinates,
-        # would take 138 MB
+        # T alone, f over 1,522 x 1,522 distinct abscissas and ordinates,
+        # would take 18.5 MB
         assert peak < 8 * budget
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice of combination points
+# ---------------------------------------------------------------------------
+
+NARROW = Rectangle.from_bounds(1e6, 1e6 + 1e-9, 1e6, 1e6 + 1e-9)
+
+
+def sampled_points(f, h, rect, grid, direction="convex"):
+    """The certificate and the abscissas and ordinates f was evaluated at."""
+    xs, ys = [], []
+
+    def record(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        xs.append(x.ravel())
+        ys.append(y.ravel())
+        return f(x, y)
+
+    cert = check_coordinate_h_convex(record, h, rect, grid=grid, direction=direction)
+    return cert, np.concatenate(xs), np.concatenate(ys)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("verdict, direction", [("pass", "convex"), ("fail", "concave")])
+    def test_grid_21_evaluates_401_distinct_abscissas(self, verdict, direction):
+        # t*x + (1-t)*y = m/400 on the unit square; rounding used to split
+        # these into 1,044 floats
+        cert, xs, ys = sampled_points(lambda x, y: x * x + y * y, HWeight.identity(),
+                                      UNIT_SQ, 21, direction)
+        assert cert.verdict == verdict
+        assert np.unique(xs).size == np.unique(ys).size == 401
+
+    @pytest.mark.parametrize("g", [3, 4, 7, 21, 64])
+    @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC, NARROW],
+                             ids=["unit", "non-dyadic", "narrow"])
+    def test_grid_points_are_exact(self, rect, g):
+        xg = np.linspace(rect.a, rect.b, g)
+        m = np.arange((g - 1) ** 2 + 1)
+        pts = hweights._lattice(rect.a, rect.b, xg, m)
+        assert pts[::g - 1].tobytes() == xg.tobytes()
+        # t = 1 gives x, t = 0 gives y, at m = j*i1 + (g-1-j)*i2
+        i1, i2 = np.triu_indices(g)
+        assert pts[(g - 1) * i1].tobytes() == xg[i1].tobytes()
+        assert pts[(g - 1) * i2].tobytes() == xg[i2].tobytes()
+
+    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.godunova_levin()],
+                             ids=["identity", "gl"])
+    @pytest.mark.parametrize("g", [4, 7])
+    def test_every_grid_abscissa_is_a_combination_abscissa(self, monkeypatch, h, g):
+        sweep_only(monkeypatch)
+        for rect in (NON_DYADIC, NARROW):
+            _, xs, ys = sampled_points(lambda x, y: 2.0 + 0 * x * y, h, rect, g)
+            # the grid itself is the first call
+            grid_x, grid_y = xs[:g * g].reshape(g, g)[:, 0], ys[:g * g].reshape(g, g)[0]
+            assert np.isin(grid_x, xs[g * g:]).all() and np.isin(grid_y, ys[g * g:]).all()
+
+    @pytest.mark.parametrize("sections", [True, False], ids=["sections", "sweep"])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("rect", [NON_DYADIC, NARROW,
+                                      Rectangle.from_bounds(-3.0, 1e-20, 5.0, 7.1)],
+                             ids=["non-dyadic", "narrow", "rounded-width"])
+    def test_every_sample_lies_in_the_rectangle(self, monkeypatch, rect, direction,
+                                                sections):
+        if not sections:
+            sweep_only(monkeypatch)
+        for g in (4, 9, 21):
+            _, xs, ys = sampled_points(lambda x, y: (x - rect.a) * (y - rect.c),
+                                       HWeight.identity(), rect, g, direction)
+            assert rect.a <= xs.min() and xs.max() <= rect.b
+            assert rect.c <= ys.min() and ys.max() <= rect.d
+
+
+class TestGoldenCertificates:
+    """Grid 17 on the unit square: every product t*x is exact, so these
+    certificates are those of the float formula t*x + (1-t)*y."""
+
+    def test_pass(self):
+        f = parse_function_spec("exp(x+y)*sin(x*y)+x^3*y^2")
+        cert = check_coordinate_h_convex(f, HWeight.power(0.5), UNIT_SQ, grid=17)
+        assert cert.passed and cert.samples_checked == 17**6
+        assert cert.tol.hex() == "0x1.c3c5832ebdea7p-31"
+
+    def test_godunova_levin_pass(self):
+        cert = check_coordinate_h_convex(builtin_function("expsum"),
+                                         HWeight.godunova_levin(), UNIT_SQ, grid=17)
+        assert cert.passed and cert.samples_checked == 15**2 * 17**4
+        assert cert.tol.hex() == "0x1.cd3177efd92a0p-31"
+
+    @pytest.mark.parametrize("f, worst, tol, witness, deficit", [
+        (lambda x, y: x * x + y * y + 0.437 * np.sin(np.pi * x) * np.sin(np.pi * y),
+         "0x1.7ef9db22d0e58p-3", "0x1.49da7e361ce4cp-32",
+         (0.0, 0.5, (0.0, 0.0), (0.5, 1.0)), "0x1.7ef9db22d0e58p-3"),
+        (lambda x, y: x * y - 0.3 * (x - 0.5) ** 2,
+         "0x1.3333333333336p-4", "0x1.a74fddb460d04p-33",
+         (0.5, 0.1875, (0.0, 0.25), (1.0, 0.4375)), "0x1.3333333333334p-4"),
+    ], ids=["bump", "dip"])
+    def test_fail(self, f, worst, tol, witness, deficit):
+        cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=17)
+        assert cert.verdict == "fail" and cert.samples_checked == 17**6
+        assert cert.worst_violation.hex() == worst and cert.tol.hex() == tol
+        assert cert.witness == witness and cert.witness_deficit.hex() == deficit
