@@ -33,8 +33,11 @@ y = c + (d-c) eta:
 with w_e / w_o the even / odd-parity weights.  The samples depend only on
 (f, rectangle, level) and are cached on the function, so every corner, both
 terms, both identity sides and every sweep row share them; only the weights
-depend on the orders.  :func:`hhfrac.quadrature.two_level` computes each
-quantity at n and 2n nodes per axis; when the two differ by more than
+depend on the orders.  Each grid also keeps the alpha halves w_x^T F (and
+w_x^T D) of its last form, so a row with the previous row's alpha costs O(n)
+per grid instead of O(n^2), with the same bits.
+:func:`hhfrac.quadrature.two_level` computes each quantity at n and 2n
+nodes per axis; when the two differ by more than
 ``target_rel_tol * max(1, |value|)`` (an endpoint singularity of f, such as
 x^0.5, converges only algebraically), that quantity falls back to the graded
 corner rules of :mod:`hhfrac.fracquad`.  The estimate of a product-rule value
@@ -189,8 +192,47 @@ def _corner_values(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
 # product integration on one Gauss-Legendre grid
 # ---------------------------------------------------------------------------
 
+class _Grid:
+    """Samples G on the n-point Gauss-Legendre grid of a rectangle, with the
+    x halves of the last bilinear form over G.
+
+    For x weights ``(omega_x, rho_x)`` the halves are ``omega_x^T G``,
+    ``(|omega_x| + rho_x)^T |G|`` and ``|omega_x|^T |G|``.  They depend on G
+    and on the x weights' ``(order, parity)`` only, so a row that repeats the
+    last x order reuses them; ``|G|`` is formed only when they are missing.
+    """
+
+    def __init__(self, grid: np.ndarray, n: int):
+        self.grid = grid
+        self.n = n
+        self._last = (None, None)  # (x, halves), replaced as one tuple
+
+    def bilinear_form(self, x: tuple[float, int], y: tuple[float, int]) -> tuple[float, float]:
+        """``w_x^T G w_y`` and its summed magnitude, with the weights' rounding.
+
+        ``x`` and ``y`` are the ``(order, parity)`` of the ``product_weights``
+        pairs ``(omega, rho)``.  The magnitude ``(|omega_x| + rho_x)^T |G|
+        |omega_y| + |omega_x|^T |G| rho_y`` covers the rounding of the sum
+        and, to first order, of both weight vectors.
+        """
+        key, half = self._last
+        if key != x:
+            ox, rx = product_weights(x[0], self.n, x[1])
+            ag = np.abs(self.grid)
+            ax = np.abs(ox)
+            half = (ox @ self.grid, (ax + rx) @ ag, ax @ ag)
+            self._last = (x, half)
+        gx, mx, ax = half
+        oy, ry = product_weights(y[0], self.n, y[1])
+        return float(gx @ oy), float(mx @ np.abs(oy)) + float(ax @ ry)
+
+
 def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
-    return fv.cached(("f", rect, n), lambda: gauss_grid_samples(fv, rect, n))
+    """``(_Grid of f, edges_x, edges_y)``, as :func:`gauss_grid_samples` gives."""
+    def build():
+        grid, edges_x, edges_y = gauss_grid_samples(fv, rect, n)
+        return _Grid(grid, n), edges_x, edges_y
+    return fv.cached(("f", rect, n), build)
 
 
 #: Grid points per call of the mixed partial in :func:`_d_grid`: each node of
@@ -198,7 +240,7 @@ def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
 _D_BLOCK_POINTS = 1 << 14
 
 
-def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> np.ndarray:
+def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
     """The mixed partial on the n-point Gauss-Legendre grid of ``rect``,
     evaluated in blocks of rows."""
     def build():
@@ -210,23 +252,8 @@ def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> np.ndarray:
         for i in range(0, n, step):
             # A function of one variable gives a (k, 1), (1, n) or scalar partial.
             grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :], rect)
-        return grid
+        return _Grid(grid, n)
     return fv.cached(("d2f", rect, n), build)
-
-
-def _bilinear_form(wx, wy, grid: np.ndarray) -> tuple[float, float]:
-    """``wx^T G wy`` and its summed magnitude, with the weights' rounding.
-
-    ``wx`` and ``wy`` are ``(omega, rho)`` pairs from ``product_weights``.
-    The magnitude ``(|omega_x| + rho_x)^T |G| |omega_y| + |omega_x|^T |G|
-    rho_y`` covers the rounding of the sum and, to first order, of both
-    weight vectors.
-    """
-    (ox, rx), (oy, ry) = wx, wy
-    ag = np.abs(grid)
-    ax = np.abs(ox)
-    magnitude = float((ax + rx) @ ag @ np.abs(oy)) + float(ax @ ag @ ry)
-    return float(ox @ grid @ oy), magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +273,7 @@ def middle_fractional_term_with_estimate(
 
     def product(n):
         ab = order.alpha * order.beta
-        v, m = _bilinear_form(product_weights(order.alpha, n, 0),
-                              product_weights(order.beta, n, 0), _f_grid(fv, rect, n)[0])
+        v, m = _f_grid(fv, rect, n)[0].bilinear_form((order.alpha, 0), (order.beta, 0))
         return ab * v, ab * m
 
     def graded():
@@ -566,9 +592,7 @@ def _folded_derivative_integral(
     """
     def product(n):
         area = rect.x.width * rect.y.width
-        v, m = _bilinear_form(product_weights(order.alpha + 1.0, n, 1),
-                              product_weights(order.beta + 1.0, n, 1),
-                              _d_grid(fv, rect, n))
+        v, m = _d_grid(fv, rect, n).bilinear_form((order.alpha + 1.0, 1), (order.beta + 1.0, 1))
         return area * v, area * m
 
     a, b, c, d = rect.a, rect.b, rect.c, rect.d

@@ -476,7 +476,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError(str(exc)) from exc
 
     # Each distinct f and h text is parsed once, so every row reuses the
-    # samples cached on f and a table file is read once.
+    # samples cached on f, a row with the previous row's alpha reuses its
+    # half-products on each grid, and a table file is read once.  Rows run
+    # with the first axis outermost, so an alpha axis given first shares most.
     parse = functools.cache(parse_function_spec)
     parse_h = functools.cache(parse_hweight)
 

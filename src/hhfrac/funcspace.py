@@ -553,7 +553,9 @@ class BivariateFunction:
     arrays and broadcast; ``provenance`` records how the function was built
     (``builtin:...`` or ``parsed:...``).  ``kinked`` flags functions whose
     mixed partial is unreliable near a kink (``abs`` in the source).
-    Sample grids built through :meth:`cached` live as long as the function.
+    Sample grids built through :meth:`cached` live as long as the function,
+    and so does the last alpha-side half-product that :mod:`hhfrac.certify`
+    keeps with each grid: reusing one function across orders reuses both.
     """
 
     evaluator: Callable

@@ -483,10 +483,10 @@ def check_coordinate_h_convex(
     g = int(grid)
     xg = np.linspace(rect.a, rect.b, g)
     yg = np.linspace(rect.c, rect.d, g)
-    tg = np.linspace(0.0, 1.0, g)
     tj = np.arange(g)  # t index j of t_j = j/(g-1)
     if not h.finite_at_endpoints:
-        tg, tj = tg[1:-1], tj[1:-1]
+        tj = tj[1:-1]
+    tg = tj / (g - 1)  # correctly rounded, as the lattice below is exact
 
     F = _sample_2d(ev, xg, yg)
     if direction == "convex" and h.family is not HFamily.IDENTITY and F.min() < 0.0:
@@ -497,7 +497,9 @@ def check_coordinate_h_convex(
         )
 
     ht = h_eval(h, tg)
-    hmt = ht[::-1]  # the grid is symmetric, so h(1 - t_i) = h(t_{n-1-i}) exactly
+    # h(1 - t_j) at the exact 1 - t_j = (g-1-j)/(g-1), which is t_{g-1-j}: the
+    # indices are symmetric, so hmt[j] is h((g-1-j)/(g-1)) bit for bit.
+    hmt = ht[::-1]
 
     i1, i2 = np.triu_indices(g)  # index pairs i1 <= i2, for both axes
     npair, nt = i1.size, tg.size

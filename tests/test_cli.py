@@ -345,6 +345,28 @@ class TestSweepCommand:
         assert peak < 1 << 20
 
 
+GOLDEN = Path(__file__).resolve().parent / "data"
+GOLDEN_F = "exp(x+y)*sin(x*y)+x^3*y^2"
+
+
+class TestGoldenSweeps:
+    """Sweep CSVs pinned byte for byte.  In the t6 sweep alpha varies
+    fastest, so every alpha recurs after rows with other alphas."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("sweep_lemma1.csv", ("--theorem", "lemma1",
+                              "--axis", "alpha=0.25,0.5,1.5,2.75", "--axis", "beta=0.5,1,2.5")),
+        ("sweep_t6.csv", ("--theorem", "t6", "--beta", "1", "--h", "identity",
+                          "--axis", "p=1.5,2,3", "--axis", "alpha=0.5,1,2.25")),
+    ], ids=["lemma1", "t6"])
+    def test_csv_is_byte_identical(self, capsys, tmp_path, name, argv):
+        out = tmp_path / name
+        code, _, err = run_cli(capsys, "sweep", "--f", GOLDEN_F, "--rect", "0", "1", "0", "1",
+                               "--nodes", "32", *argv, "--output", str(out))
+        assert code == 0, err
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 class TestArgparseContract:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -639,6 +639,34 @@ class TestLattice:
             grid_x, grid_y = xs[:g * g].reshape(g, g)[:, 0], ys[:g * g].reshape(g, g)[0]
             assert np.isin(grid_x, xs[g * g:]).all() and np.isin(grid_y, ys[g * g:]).all()
 
+    @pytest.mark.parametrize("h", [HWeight.identity(), HWeight.power(0.5),
+                                   HWeight.godunova_levin()], ids=["identity", "power", "gl"])
+    @pytest.mark.parametrize("g", [7, 21, 64])
+    def test_t_grid_is_exact(self, monkeypatch, h, g):
+        # np.linspace(0, 1, g) misses j/(g-1) by an ulp at 1, 7 and 8 points
+        class Stop(Exception):
+            pass
+
+        seen = {}
+        h_eval = hweights.h_eval
+
+        def record_t(hw, t):
+            seen["t"] = np.array(t)
+            return h_eval(hw, t)
+
+        def stop(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, *rest):
+            seen["hmt"] = hmt
+            raise Stop
+
+        monkeypatch.setattr(hweights, "h_eval", record_t)
+        monkeypatch.setattr(hweights, "_section_test", stop)
+        with pytest.raises(Stop):
+            check_coordinate_h_convex(lambda x, y: x * x + y * y, h, UNIT_SQ, grid=g)
+        j = range(g) if h.finite_at_endpoints else range(1, g - 1)
+        assert seen["t"].tobytes() == np.array([i / (g - 1) for i in j]).tobytes()
+        mirrored = np.array([(g - 1 - i) / (g - 1) for i in j])
+        assert seen["hmt"].tobytes() == h_eval(h, mirrored).tobytes()
+
     @pytest.mark.parametrize("sections", [True, False], ids=["sections", "sweep"])
     @pytest.mark.parametrize("direction", ["convex", "concave"])
     @pytest.mark.parametrize("rect", [NON_DYADIC, NARROW,

@@ -195,6 +195,122 @@ class TestSweepSharesSamples:
         assert calls == ["x", "y"]
 
 
+class TestHalfProducts:
+    """Each grid keeps the x halves of its last bilinear form, keyed by the x
+    weights' (order, parity), so a row with the previous alpha costs O(n)."""
+
+    ORDER = FracOrder(0.7, 1.3)
+
+    @staticmethod
+    def run(monkeypatch, fn, *args):
+        """``fn(*args)``, the ``(n, (value, magnitude))`` of each product-rule
+        level it ran, and the ``product_weights`` it asked for."""
+        levels, weights = [], []
+        pw = certify.product_weights
+
+        def recording(level, spec, what, fallback=None):
+            def recorded(n):
+                levels.append((n, level(n)))
+                return levels[-1][1]
+            return quadrature.two_level(recorded, spec, what, fallback)
+
+        def count_weights(order, n, parity):
+            weights.append((order, n, parity))
+            return pw(order, n, parity)
+
+        with monkeypatch.context() as m:
+            m.setattr(certify, "two_level", recording)
+            m.setattr(certify, "product_weights", count_weights)
+            return fn(*args), levels, weights
+
+    def test_a_hit_equals_a_miss(self, monkeypatch):
+        f = parse_function_spec(SMOOTH[3])
+        n = SPEC.nodes_per_axis
+        a, b = self.ORDER.alpha, self.ORDER.beta
+        x_weights = {"middle_fractional_term_with_estimate": (a, 0),
+                     "a_term_with_estimate": None,
+                     "_folded_derivative_integral": (a + 1.0, 1)}
+        for fn, args in quantities(f, self.ORDER, UNIT_SQ):
+            miss = self.run(monkeypatch, fn, *args)
+            hit = self.run(monkeypatch, fn, *args)
+            # the same value and error, and the same value and magnitude at each level
+            assert hit[0] == miss[0] and hit[1] == miss[1], fn.__name__
+            assert [m for m, _ in miss[1]] == [n, 2 * n], fn.__name__
+            x = x_weights[fn.__name__]
+            if x is not None:
+                # the miss formed the x weights' half at each level, the hit reused it
+                assert [(x[0], k, x[1]) for k in (n, 2 * n)] == [
+                    w for w in miss[2] if w[::2] == x], fn.__name__
+                assert not [w for w in hit[2] if w[::2] == x], fn.__name__
+                y = (b, 0) if x[1] == 0 else (b + 1.0, 1)
+                assert [w for w in hit[2] if w[::2] == y], fn.__name__
+        assert lemma1_residual(f, self.ORDER, UNIT_SQ) == lemma1_residual(
+            parse_function_spec(SMOOTH[3]), self.ORDER, UNIT_SQ)
+
+    def test_a_sweep_forms_each_grids_half_once_per_run_of_alpha(self, monkeypatch, capsys):
+        misses = []
+
+        class Counting(certify._Grid):
+            def bilinear_form(self, x, y):
+                if self._last[0] != x:
+                    misses.append(x)
+                return super().bilinear_form(x, y)
+
+        monkeypatch.setattr(certify, "_Grid", Counting)
+        argv = ("--theorem", "lemma1", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
+                "--nodes", "16")
+        alpha_first = _sweep(capsys, *argv, "--axis", "alpha=0.3,0.9", "--axis", "beta=1.1,1.3,2")
+        # f and its mixed partial at n = 16 and 32: one miss per grid and alpha
+        assert sorted(misses) == [(0.3, 0)] * 2 + [(0.9, 0)] * 2 + [(1.3, 1)] * 2 + [(1.9, 1)] * 2
+        misses.clear()
+        beta_first = _sweep(capsys, *argv, "--axis", "beta=1.1,1.3,2", "--axis", "alpha=0.3,0.9")
+        assert len(misses) == 6 * 4  # alpha changes on every row
+        assert sorted(alpha_first.split("\n")) == sorted(beta_first.split("\n"))
+
+    def test_a_replaced_half_gives_the_fresh_reports(self):
+        f = parse_function_spec(SMOOTH[3])
+        first = FracOrder(0.3, 1.3)
+        reports = [lemma1_residual(f, FracOrder(a, 1.3), UNIT_SQ) for a in (0.3, 0.9)]
+        grid = certify._f_grid(f, UNIT_SQ, SPEC.nodes_per_axis)[0]
+        assert grid._last[0] == (0.9, 0)
+        again = lemma1_residual(f, first, UNIT_SQ)
+        assert again == reports[0] == lemma1_residual(
+            parse_function_spec(SMOOTH[3]), first, UNIT_SQ)
+        assert grid._last[0] == (0.3, 0)
+        h = HWeight.power(0.5)
+        assert (theorem4_chain(f, h, first, UNIT_SQ)
+                == theorem4_chain(parse_function_spec(SMOOTH[3]), h, first, UNIT_SQ))
+
+    def test_threads_sharing_a_function_get_the_serial_reports(self):
+        orders = [FracOrder(0.2 * i, 1.3) for i in range(1, 9)]
+        expected = [lemma1_residual(parse_function_spec(SMOOTH[3]), o, UNIT_SQ) for o in orders]
+        f = parse_function_spec(SMOOTH[3])
+        lemma1_residual(f, orders[0], UNIT_SQ)  # the grids exist before the threads start
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                for rep in range(300):
+                    i = (k + rep) % len(orders)
+                    results.setdefault(i, set()).add(lemma1_residual(f, orders[i], UNIT_SQ))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        # Frequent thread switches make a torn or stale half likely if there is one.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert results == {i: {expected[i]} for i in range(len(orders))}
+
+
 CACHES = ("gauss_legendre_01", "power_weighted_rule", "_upper_roots_ld", "product_weights")
 
 
