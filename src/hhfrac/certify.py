@@ -36,13 +36,15 @@ terms, both identity sides and every sweep row share them; only the weights
 depend on the orders.  Each grid also keeps the alpha halves w_x^T F (and
 w_x^T D) of its last form, so a row with the previous row's alpha costs O(n)
 per grid instead of O(n^2), with the same bits.
-:func:`hhfrac.quadrature.two_level` computes each quantity at n and 2n
-nodes per axis; when the two differ by more than
+:func:`hhfrac.quadrature.two_level` computes each quantity at n/2 and n
+nodes per axis and stops when they agree to round-off; otherwise it adds
+2n and decides on the pair (n, 2n).  When that pair differs by more than
 ``target_rel_tol * max(1, |value|)`` (an endpoint singularity of f, such as
 x^0.5, converges only algebraically), that quantity falls back to the graded
 corner rules of :mod:`hhfrac.fracquad`.  The estimate of a product-rule value
-is the level gap plus the round-off floor of ``|w|^T |F| |w|``, with the
-weights' own rounding bound added to ``|w|``.
+is the gap of the accepted pair plus the round-off floor of
+``|w|^T |F| |w|`` at its finer level, with the weights' own rounding bound
+added to ``|w|``.
 
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the

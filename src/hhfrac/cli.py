@@ -661,8 +661,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_quadrature(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=None,
-                   help=("quadrature nodes per axis n; the two refinement "
-                         f"levels use n and 2n (default 64, at most {MAX_NODES_PER_AXIS})"))
+                   help=("quadrature nodes per axis n; levels n/2 and n are "
+                         "compared first, and 2n is added only when they differ "
+                         f"beyond round-off (default 64, at most {MAX_NODES_PER_AXIS})"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
                    help="quadrature target relative tolerance (default 1e-9)")
 

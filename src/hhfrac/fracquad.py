@@ -10,10 +10,11 @@ weakly singular kernel is removed exactly by the substitution behind
         int_0^1 s^(alpha-1) f(x - (x - a) s) ds
 
 after which standard Gauss-Legendre converges spectrally for smooth ``f``.
-Every public value is the finer of two refinement levels (``n`` and ``2n``
-nodes per axis) from :func:`hhfrac.quadrature.two_level`; their disagreement
-plus the round-off floor of the finer level's summed terms is the reported
-error estimate.
+Every public value is the finer of two adjacent refinement levels from
+:func:`hhfrac.quadrature.two_level`: ``n/2`` and ``n`` nodes per axis when
+they agree to round-off, else ``n`` and ``2n``.  Their disagreement plus the
+round-off floor of the finer level's summed terms is the reported error
+estimate.
 
 The graded nodes move with the order, so each order resamples ``f``.  The
 theorem quantities in :mod:`hhfrac.certify` first try the product rule of
@@ -23,7 +24,7 @@ sec. 4.2; Sloan & Smith, Numer. Math. 34 (1980) 387-401), which needs ``f``
 only on the fixed tensor Gauss-Legendre grid of the rectangle
 (:func:`gauss_grid_samples`); the public ``frac_integral_1d/2d`` always use
 the graded rules.  ``nodes_per_axis`` sets ``n`` for both, and is capped at
-:data:`MAX_NODES_PER_AXIS`.
+:data:`MAX_NODES_PER_AXIS`; the finest level ever sampled is ``2n``.
 """
 
 from __future__ import annotations

@@ -29,15 +29,22 @@ The h-moment integrals need no rule: every weight family has a closed form
 (see :mod:`hhfrac.certify`).
 
 Every ``(value, error)`` of a rule comes from :func:`two_level`: the finer
-of two refinement levels, with their disagreement plus a round-off floor as
-the error, so a reported estimate is never smaller than what double precision
-can resolve.  The floor scales with the summed magnitude ``sum |w_i f(u_i)|``
-of the rule's terms rather than with the result: when the terms cancel, the
-rounding in each term (and in the graded nodes ``u = v^p`` and weights they
-were built from) survives the cancellation, so a floor proportional to
-``|result|`` alone would fall below the noise between converged levels.  This
-is the standard dot-product bound (Higham, *Accuracy and Stability of
-Numerical Algorithms*, sec. 3.1).
+of two adjacent refinement levels, with their disagreement plus a round-off
+floor as the error, so a reported estimate is never smaller than what double
+precision can resolve.  For ``n`` nodes per axis it first compares ``n/2``
+with ``n`` and stops there when they agree within the floor: two adjacent
+levels of a spectrally convergent rule (Trefethen, SIAM Rev. 50 (2008)
+67-87) that agree to round-off are converged, and level ``2n`` would cost
+four times the samples of level ``n`` in 2D for no digit.  Otherwise the
+pair ``(n, 2n)`` decides.  So an answer at ``n`` nodes may come from level
+``n``, and asking for ``2n`` nodes reads the samples that the pair
+``(n, 2n)`` reads.  The floor scales with the summed magnitude
+``sum |w_i f(u_i)|`` of the rule's terms rather than with the result: when
+the terms cancel, the rounding in each term (and in the graded nodes
+``u = v^p`` and weights they were built from) survives the cancellation, so
+a floor proportional to ``|result|`` alone would fall below the noise
+between converged levels.  This is the standard dot-product bound (Higham,
+*Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
 """
 
 from __future__ import annotations
@@ -223,16 +230,30 @@ def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.n
 
 
 def two_level(level, spec, what: str, fallback=None) -> tuple[float, float]:
-    """``(value, error)`` of a rule at ``spec.nodes_per_axis`` and twice that.
+    """``(value, error)`` of a rule from two adjacent refinement levels.
 
     ``level(n)`` returns the rule's value and summed term magnitude with ``n``
-    nodes per axis.  The value is the finer level's, the error the level gap
-    plus :func:`error_floor` of the finer magnitude.  A gap beyond
+    nodes per axis; each level is computed once.  With
+    ``n = spec.nodes_per_axis >= 4`` the levels ``n // 2`` and ``n`` come
+    first: a gap within :func:`error_floor` of level ``n``'s magnitude (and
+    within the fallback limit below) returns level ``n``'s value with the
+    gap plus that floor, and ``2n`` is never sampled.  Otherwise the pair
+    ``(n, 2n)`` decides: the value is the finer level's, the error the gap
+    plus the floor of the finer magnitude.  A gap beyond
     ``target_rel_tol * max(1, |fine|)`` returns ``fallback()`` if one is
     given; without one, a gap ``NONCONVERGENCE_FACTOR`` times that raises.
+    So a stop at the probe with ``2n`` nodes returns exactly what the pair
+    ``(n, 2n)`` gives with ``n`` nodes, and after a failed probe the result
+    is the pair's alone.
     """
-    coarse, _ = level(spec.nodes_per_axis)
-    fine, magnitude = level(2 * spec.nodes_per_axis)
+    n = spec.nodes_per_axis
+    half = level(n // 2)[0] if n >= 4 else None
+    coarse, magnitude = level(n)
+    if half is not None:
+        gap, floor = abs(half - coarse), error_floor(magnitude)
+        if gap <= min(floor, spec.target_rel_tol * max(1.0, abs(coarse))):
+            return coarse, gap + floor
+    fine, magnitude = level(2 * n)
     gap = abs(coarse - fine)
     scale = max(1.0, abs(fine))
     if fallback is not None and gap > spec.target_rel_tol * scale:

@@ -129,6 +129,72 @@ class TestFallback:
         assert capsys.readouterr().out == out
 
 
+def run_levels(monkeypatch, fn, *args):
+    """``fn(*args)``, the ``(n, (value, magnitude))`` of each product-rule
+    level it ran, and the ``product_weights`` it asked for."""
+    levels, weights = [], []
+    pw = certify.product_weights
+
+    def recording(level, spec, what, fallback=None):
+        def recorded(n):
+            levels.append((n, level(n)))
+            return levels[-1][1]
+        return quadrature.two_level(recorded, spec, what, fallback)
+
+    def count_weights(order, n, parity):
+        weights.append((order, n, parity))
+        return pw(order, n, parity)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "two_level", recording)
+        m.setattr(certify, "product_weights", count_weights)
+        return fn(*args), levels, weights
+
+
+def pair_estimate(levels, n, spec):
+    """``(value, error)`` of the level pair (n, 2n) alone: the finer value,
+    the gap plus the floor of the finer magnitude."""
+    (coarse, _), (fine, magnitude) = levels[n], levels[2 * n]
+    gap = abs(coarse - fine)
+    assert gap <= spec.target_rel_tol * max(1.0, abs(fine))  # no fallback
+    return fine, gap + quadrature.error_floor(magnitude)
+
+
+class TestProbe:
+    """The probe (n/2, n) of ``two_level`` on the theorem quantities: an
+    early exit at 2n nodes gives what the pair (n, 2n) gives at n, and a
+    failed probe gives the pair (n, 2n) at the same n, bit for bit."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rect", [UNIT_SQ, OFF_SQ], ids=["unit", "off"])
+    def test_early_exit_at_2n_is_the_pair_at_n(self, monkeypatch, order, rect):
+        spec = QuadratureSpec(nodes_per_axis=128)
+        f = parse_function_spec(SMOOTH[3])
+        order = FracOrder(*order)
+        for fn, args in quantities(f, order, rect):
+            result, levels, _ = run_levels(monkeypatch, fn, *args[:3], spec)
+            assert [n for n, _ in levels] == [64, 128], fn.__name__
+            assert result == pair_estimate(dict(levels), 64, spec), fn.__name__
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_failed_probe_is_the_pair_at_n(self, monkeypatch, alpha):
+        # exp(x+y) at 16 nodes: levels 8 and 16 differ by more than round-off
+        spec = QuadratureSpec(nodes_per_axis=16)
+        f = parse_function_spec("exp(x+y)")
+        for fn, args in quantities(f, FracOrder(alpha, 1.3), UNIT_SQ)[:2]:
+            result, levels, _ = run_levels(monkeypatch, fn, *args[:3], spec)
+            assert [n for n, _ in levels] == [8, 16, 32], fn.__name__
+            assert result == pair_estimate(dict(levels), 16, spec), fn.__name__
+
+    @pytest.mark.parametrize("nodes", [64, 128])
+    def test_an_endpoint_singularity_still_falls_back(self, monkeypatch, nodes):
+        spec = QuadratureSpec(nodes_per_axis=nodes)
+        f = parse_function_spec("x^0.5 + y^0.5")
+        (middle, args), (a, a_args), _ = quantities(f, FracOrder(0.5, 1.3), UNIT_SQ)
+        assert fallbacks(monkeypatch, middle, *args[:3], spec) == ["product-rule middle term"]
+        assert fallbacks(monkeypatch, a, *a_args[:3], spec) == ["product-rule A term"]
+
+
 def _sweep(capsys, *extra):
     code = main(["sweep", "--format", "csv", *extra])
     captured = capsys.readouterr()
@@ -166,9 +232,10 @@ class TestSweepSharesSamples:
                      "--axis", f"alpha={ALPHAS}", "--axis", f"beta={BETAS}")
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 72 and all(",true," in r for r in rows)
-        # the grid and its four edge sections, at n = 32 and 64
-        assert samples == [(32, 32), (2, 32), (32, 2), (64, 64), (2, 64), (64, 2)]
-        assert partials == [(32, 32), (64, 64)]
+        # the grid and its four edge sections, at n = 16 and 32: every
+        # quantity stops at the probe, so no level of 64 nodes is sampled
+        assert samples == [(16, 16), (2, 16), (16, 2), (32, 32), (2, 32), (32, 2)]
+        assert partials == [(16, 16), (32, 32)]
         assert graded_rules == []
 
 
@@ -201,28 +268,6 @@ class TestHalfProducts:
 
     ORDER = FracOrder(0.7, 1.3)
 
-    @staticmethod
-    def run(monkeypatch, fn, *args):
-        """``fn(*args)``, the ``(n, (value, magnitude))`` of each product-rule
-        level it ran, and the ``product_weights`` it asked for."""
-        levels, weights = [], []
-        pw = certify.product_weights
-
-        def recording(level, spec, what, fallback=None):
-            def recorded(n):
-                levels.append((n, level(n)))
-                return levels[-1][1]
-            return quadrature.two_level(recorded, spec, what, fallback)
-
-        def count_weights(order, n, parity):
-            weights.append((order, n, parity))
-            return pw(order, n, parity)
-
-        with monkeypatch.context() as m:
-            m.setattr(certify, "two_level", recording)
-            m.setattr(certify, "product_weights", count_weights)
-            return fn(*args), levels, weights
-
     def test_a_hit_equals_a_miss(self, monkeypatch):
         f = parse_function_spec(SMOOTH[3])
         n = SPEC.nodes_per_axis
@@ -231,15 +276,16 @@ class TestHalfProducts:
                      "a_term_with_estimate": None,
                      "_folded_derivative_integral": (a + 1.0, 1)}
         for fn, args in quantities(f, self.ORDER, UNIT_SQ):
-            miss = self.run(monkeypatch, fn, *args)
-            hit = self.run(monkeypatch, fn, *args)
+            miss = run_levels(monkeypatch, fn, *args)
+            hit = run_levels(monkeypatch, fn, *args)
             # the same value and error, and the same value and magnitude at each level
             assert hit[0] == miss[0] and hit[1] == miss[1], fn.__name__
-            assert [m for m, _ in miss[1]] == [n, 2 * n], fn.__name__
+            # the probe (n/2, n) settles it, so 2n is never sampled
+            assert [m for m, _ in miss[1]] == [n // 2, n], fn.__name__
             x = x_weights[fn.__name__]
             if x is not None:
                 # the miss formed the x weights' half at each level, the hit reused it
-                assert [(x[0], k, x[1]) for k in (n, 2 * n)] == [
+                assert [(x[0], k, x[1]) for k in (n // 2, n)] == [
                     w for w in miss[2] if w[::2] == x], fn.__name__
                 assert not [w for w in hit[2] if w[::2] == x], fn.__name__
                 y = (b, 0) if x[1] == 0 else (b + 1.0, 1)
@@ -253,15 +299,17 @@ class TestHalfProducts:
         class Counting(certify._Grid):
             def bilinear_form(self, x, y):
                 if self._last[0] != x:
-                    misses.append(x)
+                    misses.append((self.n, x))
                 return super().bilinear_form(x, y)
 
         monkeypatch.setattr(certify, "_Grid", Counting)
         argv = ("--theorem", "lemma1", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
-                "--nodes", "16")
+                "--nodes", "32")
         alpha_first = _sweep(capsys, *argv, "--axis", "alpha=0.3,0.9", "--axis", "beta=1.1,1.3,2")
-        # f and its mixed partial at n = 16 and 32: one miss per grid and alpha
-        assert sorted(misses) == [(0.3, 0)] * 2 + [(0.9, 0)] * 2 + [(1.3, 1)] * 2 + [(1.9, 1)] * 2
+        # f and its mixed partial at n = 16 and 32 (every quantity stops at
+        # the probe): one miss per grid and alpha
+        assert sorted(misses) == [(k, x) for k in (16, 32)
+                                  for x in ((0.3, 0), (0.9, 0), (1.3, 1), (1.9, 1))]
         misses.clear()
         beta_first = _sweep(capsys, *argv, "--axis", "beta=1.1,1.3,2", "--axis", "alpha=0.3,0.9")
         assert len(misses) == 6 * 4  # alpha changes on every row

@@ -84,22 +84,79 @@ class TestTwoLevel:
 
     SPEC = QuadratureSpec(nodes_per_axis=8, target_rel_tol=1e-9)
 
-    def rule(self, coarse, fine, magnitude=3.0):
-        """A rule with the given level values; the coarse magnitude is NaN,
-        because only the finer level's may enter the error."""
+    def rule(self, coarse, fine, magnitude=3.0, half=math.inf, coarse_magnitude=5.0):
+        """A rule with the values ``half``, ``coarse`` and ``fine`` at 4, 8 and
+        16 nodes.  The half level's magnitude is NaN, because only the
+        magnitude of the level returned may enter the error.  The default
+        half fails the probe, so the pair (8, 16) decides."""
         calls = []
 
         def level(n):
             calls.append(n)
-            return (coarse, math.nan) if n == 8 else (fine, magnitude)
+            return {4: (half, math.nan), 8: (coarse, coarse_magnitude),
+                    16: (fine, magnitude)}[n]
         return level, calls
 
     def test_levels_and_error(self):
         level, calls = self.rule(1.25 + 3e-10, 1.25)
         value, error = two_level(level, self.SPEC, "demo")
-        assert calls == [8, 16]
+        assert calls == [4, 8, 16]
         assert value == 1.25
         assert error == abs((1.25 + 3e-10) - 1.25) + error_floor(3.0)
+
+    def test_early_exit_stops_at_n(self):
+        gap = 4.0 * math.ulp(1.25)
+        assert gap <= error_floor(5.0)
+        level, calls = self.rule(1.25, math.nan, half=1.25 + gap)
+        value, error = two_level(level, self.SPEC, "demo")
+        assert calls == [4, 8]
+        # the value and the magnitude are level 8's; the half level's NaN
+        # magnitude never reaches the error
+        assert value == 1.25
+        assert error == gap + error_floor(5.0)
+
+    def test_gap_at_the_floor_exits_one_ulp_above_does_not(self):
+        floor = error_floor(5.0)
+        level, calls = self.rule(0.0, 0.5, half=floor)
+        assert two_level(level, self.SPEC, "demo") == (0.0, floor + floor)
+        assert calls == [4, 8]
+        above = float(np.nextafter(floor, 1.0))
+        level, calls = self.rule(0.0, 1e-12, half=above)
+        # the pair (8, 16), exactly as without the probe
+        assert two_level(level, self.SPEC, "demo") == (1e-12, 1e-12 + error_floor(3.0))
+        assert calls == [4, 8, 16]
+
+    def test_probe_never_accepts_a_gap_beyond_the_target(self):
+        # A huge summed magnitude lifts the floor above target_rel_tol; the
+        # probe still stops only where the fallback rule would accept.
+        magnitude = 1e8
+        gap = 1e-8
+        assert self.SPEC.target_rel_tol < gap <= error_floor(magnitude)
+        level, calls = self.rule(0.0, 0.0, half=gap, coarse_magnitude=magnitude)
+        assert two_level(level, self.SPEC, "demo", fallback=lambda: "fallback") == (
+            0.0, error_floor(3.0))
+        assert calls == [4, 8, 16]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_below_four_nodes_no_probe(self, n):
+        calls = []
+
+        def level(k):
+            calls.append(k)
+            return (1.0, 2.0) if k == 2 * n else (1.0, math.nan)
+        assert two_level(level, QuadratureSpec(nodes_per_axis=n), "demo") == (
+            1.0, error_floor(2.0))
+        assert calls == [n, 2 * n]
+
+    def test_odd_n_probes_its_floor_half(self):
+        calls = []
+
+        def level(k):
+            calls.append(k)
+            return (1.0, 2.0)
+        assert two_level(level, QuadratureSpec(nodes_per_axis=5), "demo") == (
+            1.0, error_floor(2.0))
+        assert calls == [2, 5]
 
     @pytest.mark.parametrize("fine, gap, falls_back", [
         (0.0, 1e-9, False),  # exactly the limit tol * max(1, |fine|)
