@@ -25,7 +25,6 @@ from .errors import (
     HHFracError,
     OverflowDomainError,
     QuadratureNonConvergenceError,
-    StepUnderflowError,
     UnknownIdentifierError,
     UsageError,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "HFamily", "HHFracError", "HWeight", "HolderExponents", "Interval",
     "LemmaReport", "OverflowDomainError", "QuadratureNonConvergenceError",
     "QuadratureSpec", "Rectangle", "Side",
-    "StepUnderflowError", "UnknownIdentifierError", "UsageError",
+    "UnknownIdentifierError", "UsageError",
     "beta", "builtin_function",
     "check_coordinate_h_convex", "corollary_moment_c1", "corollary_moment_c2",
     "corollary_moment_c3", "evaluate", "format_expression",

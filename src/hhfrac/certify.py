@@ -54,7 +54,7 @@ inequalities are exact in the limit, tolerance exists only for numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,7 +253,7 @@ def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
         step = max(1, _D_BLOCK_POINTS // n)
         for i in range(0, n, step):
             # A function of one variable gives a (k, 1), (1, n) or scalar partial.
-            grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :], rect)
+            grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :])
         return _Grid(grid, n)
     return fv.cached(("d2f", rect, n), build)
 
@@ -480,18 +480,13 @@ def theorem1_chain(
     4 h(1/2)^2 factor, and the right member becomes the plain corner average.
     """
     report = theorem4_chain(f, HWeight.identity(), order, rect, spec, abs_tol)
-    notes = tuple(n for n in report.notes if n != MOMENT_WEIGHT_NOTE)
-    return ChainReport(
-        left=report.left, middle=report.middle, right=report.right,
-        gap_lm=report.gap_lm, gap_mr=report.gap_mr, passed=report.passed,
-        quadrature_error=report.quadrature_error, tol=report.tol, notes=notes,
-    )
+    return replace(report, notes=tuple(n for n in report.notes if n != MOMENT_WEIGHT_NOTE))
 
 
 def _corner_derivatives(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
     """|d^2 f / dx dy| at (a,c), (a,d), (b,c), (b,d)."""
     return f.cached(("corner-d2f", rect), lambda: tuple(
-        abs(float(mixed_partial(f, px, py, rect))) for px, py in rect.corners()
+        abs(float(mixed_partial(f, px, py))) for px, py in rect.corners()
     ))
 
 
@@ -602,7 +597,7 @@ def _folded_derivative_integral(
     def dsamp(xs, ys):
         # A function of one variable gives a (n, 1), (1, n) or scalar partial.
         return np.broadcast_to(np.asarray(
-            mixed_partial(fv, xs[:, None], ys[None, :], rect), dtype=float
+            mixed_partial(fv, xs[:, None], ys[None, :]), dtype=float
         ), (xs.size, ys.size))
 
     scale = 0.25 * rect.x.width * rect.y.width

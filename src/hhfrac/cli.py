@@ -282,12 +282,9 @@ def _run_theorem(args, parse=parse_function_spec,
         h = parse_h(args.h) if args.h is not None else None
         pq = HolderExponents.from_p(float(args.p)) if args.theorem == "t6" else None
         abs_tol = float(args.abs_tol)
+        rect.require_nonneg_origin()
     except UsageError:
         raise
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        rect.require_nonneg_origin()
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -50,10 +50,6 @@ class EvaluationDomainError(ExpressionError):
     division by zero, ...). Names the offending subexpression."""
 
 
-class StepUnderflowError(HHFracError):
-    """A finite-difference step rounded to zero."""
-
-
 class QuadratureNonConvergenceError(HHFracError):
     """The two finest refinement levels disagree beyond the accepted factor."""
 

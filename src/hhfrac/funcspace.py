@@ -15,13 +15,9 @@ derivative repeats subexpressions of f and of its first partial (``exp(x +
 y)``, ``cos(x * y)``, ...), so it is kept as a DAG in which equal
 subexpressions are one node (:func:`_share`): an evaluation computes each
 shared node once and drops its value after the last use.
-Builtins carry hand-written partials.  Only a plain callable without a
-partial falls back to the 4-point central cross stencil
-
-    [f(x+h, y+k) - f(x+h, y-k) - f(x-h, y+k) + f(x-h, y-k)] / (4 h k)
-
-with steps :data:`FD_STEP_RELATIVE` times the axis widths of the target
-rectangle.
+Builtins carry hand-written partials.  A function brings its own partial:
+:func:`mixed_partial` never approximates one, and rejects a plain callable
+that has none, so no derivative error lies outside the error estimates.
 """
 
 from __future__ import annotations
@@ -39,15 +35,13 @@ from .errors import (
     EvaluationDomainError,
     EvaluationError,
     ExpressionSyntaxError,
-    StepUnderflowError,
     UnknownIdentifierError,
 )
-from .fracquad import Rectangle
 
 __all__ = [
     "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call", "Expression",
     "parse_expression", "parse_univariate", "format_expression", "evaluate",
-    "FD_STEP_RELATIVE", "mixed_partial", "BivariateFunction",
+    "mixed_partial", "BivariateFunction",
     "BUILTIN_NAMES", "builtin_function", "parse_function_spec",
 ]
 
@@ -537,20 +531,19 @@ def _lazy_mixed_partial(ast: Expression) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# the bivariate function wrapper and the stencil fallback
+# the bivariate function wrapper
 # ---------------------------------------------------------------------------
-
-#: Step of the cross stencil per unit axis width.  Its round-off, about
-#: ``eps |f| / FD_STEP_RELATIVE^2`` relative, enters no error estimate.
-FD_STEP_RELATIVE = 1e-5
-
 
 @dataclass(frozen=True)
 class BivariateFunction:
-    """An evaluable f(x, y) with an optional mixed partial.
+    """An evaluable f(x, y) with an optional mixed partial d^2 f / dx dy.
 
     ``evaluator`` (and ``mixed_partial`` when present) must accept numpy
-    arrays and broadcast; ``provenance`` records how the function was built
+    arrays and broadcast.  The trapezoid bounds and the lemma1 identity
+    (:func:`hhfrac.theorem5_bound`, :func:`hhfrac.theorem6_bound`,
+    :func:`hhfrac.lemma1_residual`) need ``mixed_partial``; the chains, the
+    fractional integrals and the convexity certificate use only
+    ``evaluator``.  ``provenance`` records how the function was built
     (``builtin:...`` or ``parsed:...``).  ``kinked`` flags functions whose
     mixed partial is unreliable near a kink (``abs`` in the source).
     Sample grids built through :meth:`cached` live as long as the function,
@@ -575,27 +568,21 @@ class BivariateFunction:
         return self._samples[key]
 
 
-def mixed_partial(f, x, y, rect: Optional[Rectangle] = None):
-    """d^2 f / dx dy at (x, y): the function's own partial when it has one
-    (parsed and builtin functions do), else the 4-point central cross
-    difference with steps :data:`FD_STEP_RELATIVE` times the axis widths of
-    ``rect`` (unit widths when no rectangle is given).
+def mixed_partial(f, x, y):
+    """d^2 f / dx dy at (x, y), from the function's own partial.
 
-    The stencil samples up to one step outside a point on the boundary of
-    ``rect``; the function must be evaluable there.
+    Parsed and builtin functions carry one.  Anything else raises
+    :class:`DomainError`: build f with :func:`parse_function_spec` from an
+    expression string or a ``builtin:`` name, or wrap a plain callable as
+    ``BivariateFunction(f, partial)`` with its exact partial.
     """
-    analytic = getattr(f, "mixed_partial", None)
-    if analytic is not None:
-        return analytic(x, y)
-    ev = getattr(f, "evaluator", f)
-    h = FD_STEP_RELATIVE * (rect.x.width if rect is not None else 1.0)
-    k = FD_STEP_RELATIVE * (rect.y.width if rect is not None else 1.0)
-    if h == 0.0 or k == 0.0:
-        raise StepUnderflowError(f"finite-difference step underflowed (h={h}, k={k})")
-    if np.any(np.asarray(x) + h == np.asarray(x)) or np.any(np.asarray(y) + k == np.asarray(y)):
-        raise StepUnderflowError("finite-difference step vanished against the base point")
-    return (ev(x + h, y + k) - ev(x + h, y - k)
-            - ev(x - h, y + k) + ev(x - h, y - k)) / (4.0 * h * k)
+    partial = getattr(f, "mixed_partial", None)
+    if partial is None:
+        raise DomainError(
+            "d^2f/dxdy is needed but the function carries no mixed partial: "
+            "build it with parse_function_spec from an expression string or a "
+            "builtin: name, or pass BivariateFunction(f, partial) with the exact partial")
+    return partial(x, y)
 
 
 # ---------------------------------------------------------------------------

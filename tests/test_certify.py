@@ -22,8 +22,13 @@ from hhfrac.certify import (
     theorem6_bound,
 )
 from hhfrac.errors import DivergentMomentError, DomainError
-from hhfrac.fracquad import FracOrder, Rectangle
-from hhfrac.funcspace import BivariateFunction, builtin_function, parse_function_spec
+from hhfrac.fracquad import Corner, FracOrder, Rectangle, frac_integral_2d
+from hhfrac.funcspace import (
+    BivariateFunction,
+    builtin_function,
+    mixed_partial,
+    parse_function_spec,
+)
 from hhfrac.hweights import HWeight, h_eval, load_table
 
 from oracles import brute_frac_1d, brute_frac_2d, table_moment_exact
@@ -413,8 +418,9 @@ class TestLemma1Residual:
         assert rep.residual <= 10.0 * rep.quadrature_error
         assert rep.passed
 
-    def test_fd_only_function(self):
-        f = parse_function_spec("x^2*y^2")  # no analytic mixed partial
+    def test_parsed_function_brings_exact_partial(self):
+        f = parse_function_spec("x^2*y^2")  # partial from the expression
+        assert f.mixed_partial is not None
         rep = lemma1_residual(f, FracOrder(1.5, 0.5), UNIT_SQ)
         assert rep.passed
 
@@ -429,6 +435,65 @@ class TestLemma1Residual:
         rep = lemma1_residual(parse_function_spec(src), FracOrder(0.5, 0.5), UNIT_SQ)
         assert rep.rhs == 0.0
         assert rep.passed
+
+
+def _e_partial(x, y):
+    # d^2/dxdy of exp(x+y)*sin(x*y) + x^3*y^2
+    s, p = np.exp(x + y), x * y
+    return s * ((1.0 - p) * np.sin(p) + (1.0 + x + y) * np.cos(p)) + 6.0 * x * x * y
+
+
+#: Plain callables with their exact mixed partials.
+CALLABLES_WITH_PARTIALS = {
+    "x^2*y^2": (lambda x, y: x**2 * y**2, lambda x, y: 4.0 * x * y),
+    "exp(x+y)": (lambda x, y: np.exp(x + y), lambda x, y: np.exp(x + y)),
+    "exp(x+y)*sin(x*y)+x^3*y^2": (
+        lambda x, y: np.exp(x + y) * np.sin(x * y) + x**3 * y**2, _e_partial),
+    "x^3*y + x*y^2": (lambda x, y: x**3 * y + x * y**2,
+                      lambda x, y: 3.0 * x * x + 2.0 * y),
+}
+
+
+class TestDerivativeContract:
+    """t5, t6 and lemma1 take d^2f/dxdy from the function itself."""
+
+    def test_callable_with_partial_passes_lemma1(self):
+        # With an exact partial the residual is round-off: the tolerance
+        # here is 2.68e-11, so 3.36e-11 of derivative noise would fail it.
+        f = BivariateFunction(lambda x, y: x**2 * y**2, lambda x, y: 4 * x * y)
+        rep = lemma1_residual(f, FracOrder(2.5, 2), UNIT_SQ)
+        assert rep.passed
+
+    @pytest.mark.parametrize("rect", [UNIT_SQ, OFF_SQ], ids=["unit", "off"])
+    @pytest.mark.parametrize("name", sorted(CALLABLES_WITH_PARTIALS))
+    def test_lemma1_matrix_never_fails(self, name, rect):
+        ev, partial = CALLABLES_WITH_PARTIALS[name]
+        f = BivariateFunction(ev, partial)
+        failed = [(a, b) for a in (0.5, 1.0, 1.7, 2.5) for b in (0.5, 1.3, 2.0)
+                  if not lemma1_residual(f, FracOrder(a, b), rect).passed]
+        assert failed == []
+
+    @pytest.mark.parametrize("wrap", [lambda g: g, BivariateFunction],
+                             ids=["callable", "no-partial"])
+    @pytest.mark.parametrize("call", [
+        lambda f: theorem5_bound(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ),
+        lambda f: theorem6_bound(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ,
+                                 HolderExponents.from_p(2.0)),
+        lambda f: lemma1_residual(f, FracOrder(1.5, 0.5), UNIT_SQ),
+        lambda f: mixed_partial(f, 0.3, 0.7),
+    ], ids=["t5", "t6", "lemma1", "mixed_partial"])
+    def test_function_without_partial_is_rejected(self, call, wrap):
+        f = wrap(lambda x, y: x**2 * y**2)
+        with pytest.raises(DomainError, match=r"BivariateFunction\(f, partial\)"):
+            call(f)
+
+    def test_plain_callable_still_serves_chains_and_integrals(self):
+        f = lambda x, y: x**2 * y**2  # noqa: E731
+        rep = theorem4_chain(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ)
+        assert rep.passed
+        got = frac_integral_2d(f, FracOrder(1.0, 1.0), Corner.LOWER_LOWER, UNIT_SQ,
+                               (1.0, 1.0))
+        assert got == pytest.approx(1.0 / 9.0, rel=1e-13)
 
 
 class TestScalingCovariance:

@@ -47,7 +47,7 @@ class TestVerifyCommand:
 
     def test_lemma1_exact_identity_holds_on_a_parsed_function(self, capsys):
         # The mixed partial comes from the expression, so the identity holds
-        # to round-off; a stencil put ~1e-9 of noise into the rhs here.
+        # to round-off.
         code, rep = run_json(
             capsys, "verify", "--theorem", "lemma1",
             "--f", "exp(x+y)*sin(x*y)+x^3*y^2",
