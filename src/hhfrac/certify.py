@@ -40,11 +40,12 @@ per grid instead of O(n^2), with the same bits.
 nodes per axis and stops when they agree to round-off; otherwise it adds
 2n and decides on the pair (n, 2n).  When that pair differs by more than
 ``target_rel_tol * max(1, |value|)`` (an endpoint singularity of f, such as
-x^0.5, converges only algebraically), that quantity falls back to the graded
-corner rules of :mod:`hhfrac.fracquad`.  The estimate of a product-rule value
-is the gap of the accepted pair plus the round-off floor of
-``|w|^T |F| |w|`` at its finer level, with the weights' own rounding bound
-added to ``|w|``.
+x^0.5, converges only algebraically), that quantity falls back to one graded
+rule: the power-weighted rule folded onto both ends of each axis
+(:func:`_folded_rule`), which integrates the same folded kernel, with its own
+``two_level``.  Every estimate is the gap of the accepted pair plus the
+round-off floor of ``|w|^T |F| |w|`` at its finer level; a product-rule
+``|w|`` includes the weights' own rounding bound.
 
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the
@@ -60,13 +61,11 @@ import numpy as np
 
 from .errors import DivergentMomentError, DomainError
 from .fracquad import (
-    Corner,
     FracOrder,
+    Interval,
     QuadratureSpec,
     Rectangle,
-    Side,
-    frac_integral_1d_with_estimate,
-    frac_integral_2d_with_estimate,
+    _sample_2d,
     gauss_grid_samples,
 )
 from .funcspace import BivariateFunction, mixed_partial
@@ -78,7 +77,7 @@ from .quadrature import (
     two_level,
 )
 from .special import beta as beta_fn
-from .special import beta_rel_error, gamma
+from .special import beta_rel_error
 
 __all__ = [
     "ChainReport",
@@ -237,30 +236,48 @@ def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
     return fv.cached(("f", rect, n), build)
 
 
-#: Grid points per call of the mixed partial in :func:`_d_grid`: each node of
+#: Grid points per call of the mixed partial in :func:`_d_samples`: each node of
 #: a differentiated expression holds a temporary of the block's size.
 _D_BLOCK_POINTS = 1 << 14
 
 
+def _d_samples(fv: BivariateFunction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The mixed partial on the grid xs x ys, evaluated in blocks of rows."""
+    grid = np.empty((xs.size, ys.size))
+    step = max(1, _D_BLOCK_POINTS // ys.size)
+    for i in range(0, xs.size, step):
+        # A function of one variable gives a (k, 1), (1, n) or scalar partial.
+        grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :])
+    return grid
+
+
 def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
-    """The mixed partial on the n-point Gauss-Legendre grid of ``rect``,
-    evaluated in blocks of rows."""
+    """The mixed partial on the n-point Gauss-Legendre grid of ``rect``."""
     def build():
         xi = gauss_legendre_01(n)[0]
-        xs = rect.a + rect.x.width * xi
-        ys = rect.c + rect.y.width * xi
-        grid = np.empty((n, n))
-        step = max(1, _D_BLOCK_POINTS // n)
-        for i in range(0, n, step):
-            # A function of one variable gives a (k, 1), (1, n) or scalar partial.
-            grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :])
-        return _Grid(grid, n)
+        return _Grid(_d_samples(fv, rect.a + rect.x.width * xi, rect.c + rect.y.width * xi), n)
     return fv.cached(("d2f", rect, n), build)
 
 
 # ---------------------------------------------------------------------------
 # the fractional building blocks
 # ---------------------------------------------------------------------------
+
+def _folded_rule(order: float, interval: Interval, n: int,
+                 sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of ``int_0^1 t^(order-1) (g(hi - w t) + sign g(lo + w t)) dt``,
+    w the width of ``interval``: the graded fallback of every folded kernel,
+    ``(1-xi)^(order-1) + sign xi^(order-1)`` at ``xi = (x - lo) / w``.  The
+    points are those of the one-sided integrals anchored at ``hi`` and ``lo``."""
+    u, w = power_weighted_rule(order, n)
+    return (np.concatenate((interval.hi - interval.width * u, interval.lo + interval.width * u)),
+            np.concatenate((w, sign * w)))
+
+
+def _folded_form(wx: np.ndarray, g: np.ndarray, wy: np.ndarray) -> tuple[float, float]:
+    """``wx^T g wy`` and the summed magnitude ``|wx|^T |g| |wy|`` of its terms."""
+    return float(wx @ g @ wy), float(np.abs(wx) @ np.abs(g) @ np.abs(wy))
+
 
 def middle_fractional_term_with_estimate(
     f, order: FracOrder, rect: Rectangle, spec: QuadratureSpec = _DEFAULT_SPEC
@@ -272,29 +289,20 @@ def middle_fractional_term_with_estimate(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
+    ab = order.alpha * order.beta
 
     def product(n):
-        ab = order.alpha * order.beta
         v, m = _f_grid(fv, rect, n)[0].bilinear_form((order.alpha, 0), (order.beta, 0))
         return ab * v, ab * m
 
-    def graded():
-        pieces = (
-            (Corner.LOWER_LOWER, (rect.b, rect.d)),
-            (Corner.LOWER_UPPER, (rect.b, rect.c)),
-            (Corner.UPPER_LOWER, (rect.a, rect.d)),
-            (Corner.UPPER_UPPER, (rect.a, rect.c)),
-        )
-        total = 0.0
-        err = 0.0
-        for corner, at in pieces:
-            v, e = frac_integral_2d_with_estimate(fv, order, corner, rect, at, spec)
-            total += v
-            err += e
-        scale = (gamma(order.alpha + 1.0) * gamma(order.beta + 1.0)
-                 / (4.0 * rect.x.width**order.alpha * rect.y.width**order.beta))
-        return scale * total, scale * err
-    return two_level(product, spec, "product-rule middle term", graded)
+    def graded(n):
+        # The four corner integrals, each scaled by Gamma(order + 1) / span^order.
+        xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
+        ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
+        v, m = _folded_form(wx, _sample_2d(fv.evaluator, xs, ys), wy)
+        return 0.25 * ab * v, 0.25 * ab * m
+    return two_level(product, spec, "product-rule middle term",
+                     lambda: two_level(graded, spec, "middle term"))
 
 
 def a_term_with_estimate(
@@ -313,37 +321,17 @@ def a_term_with_estimate(
             magnitude += 0.5 * g * float((np.abs(omega) + rho) @ np.abs(sections).sum(axis=0))
         return value, magnitude
 
-    def graded():
-        a, b, c, d = rect.a, rect.b, rect.c, rect.d
-
-        def section_x(x0):
-            return lambda s: fv(x0, s)
-
-        def section_y(y0):
-            return lambda t: fv(t, y0)
-
-        y_pieces = (
-            (section_x(a), Side.LEFT, d), (section_x(b), Side.LEFT, d),
-            (section_x(a), Side.RIGHT, c), (section_x(b), Side.RIGHT, c),
-        )
-        x_pieces = (
-            (section_y(c), Side.LEFT, b), (section_y(d), Side.LEFT, b),
-            (section_y(c), Side.RIGHT, a), (section_y(d), Side.RIGHT, a),
-        )
-        sum_y = err_y = 0.0
-        for sec, side, at in y_pieces:
-            v, e = frac_integral_1d_with_estimate(sec, order.beta, side, rect.y, at, spec)
-            sum_y += v
-            err_y += e
-        sum_x = err_x = 0.0
-        for sec, side, at in x_pieces:
-            v, e = frac_integral_1d_with_estimate(sec, order.alpha, side, rect.x, at, spec)
-            sum_x += v
-            err_x += e
-        scale_y = gamma(order.beta + 1.0) / (4.0 * rect.y.width**order.beta)
-        scale_x = gamma(order.alpha + 1.0) / (4.0 * rect.x.width**order.alpha)
-        return scale_y * sum_y + scale_x * sum_x, scale_y * err_y + scale_x * err_x
-    return two_level(product, spec, "product-rule A term", graded)
+    def graded(n):
+        # The eight section integrals, each scaled by Gamma(order + 1) / span^order.
+        xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
+        ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
+        both = np.ones(2)
+        vy, my = _folded_form(both, _sample_2d(fv.evaluator, np.array([rect.a, rect.b]), ys), wy)
+        vx, mx = _folded_form(wx, _sample_2d(fv.evaluator, xs, np.array([rect.c, rect.d])), both)
+        return (0.25 * (order.beta * vy + order.alpha * vx),
+                0.25 * (order.beta * my + order.alpha * mx))
+    return two_level(product, spec, "product-rule A term",
+                     lambda: two_level(graded, spec, "A term"))
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +501,10 @@ def theorem5_bound(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     k1a, e_k1a = h_moment_m(h, order.alpha + 1.0)
     k1b, e_k1b = h_moment_m(h, order.beta + 1.0)
     d_sum = sum(_corner_derivatives(fv, rect))
+    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     scale = rect.x.width * rect.y.width / 4.0
     rhs = scale * k1a * k1b * d_sum
     e_rhs = scale * d_sum * (e_k1a * k1b + k1a * e_k1b + e_k1a * e_k1b)
@@ -546,13 +534,13 @@ def theorem6_bound(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     m1, e_m1 = h_moment_m(h, 1.0)
     u, e_u = 0.5 * m1, 0.5 * e_m1
     p, q = pq.p, pq.q
     prefactor = (rect.x.width * rect.y.width
                  / ((order.alpha * p + 1.0) * (order.beta * p + 1.0)) ** (1.0 / p))
     d_q = sum(d**q for d in _corner_derivatives(fv, rect))
+    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     s_sum = u * u * d_q
     e_sum = d_q * (2.0 * u * e_u + e_u * e_u)
     rhs = prefactor * s_sum ** (1.0 / q)
@@ -576,43 +564,26 @@ def theorem6_bound(
 def _folded_derivative_integral(
     fv: BivariateFunction, order: FracOrder, rect: Rectangle, spec: QuadratureSpec,
 ) -> tuple[float, float]:
-    """((b-a)(d-c)/4) * int int (t^a - (1-t)^a)(k^b - (1-k)^b) D(x(t), y(k)).
+    """((b-a)(d-c)/4) * int int (t^a - (1-t)^a)(k^b - (1-k)^b) D(x(t), y(k)),
+    x(t) = t a + (1-t) b and y(k) = k c + (1-k) d.
 
-    The antisymmetric kernel folds exactly onto the single-endpoint weights
-    t^alpha k^beta:
-
-        int_0^1 (t^a - (1-t)^a) g(t) dt = int_0^1 t^a (g(t) - g(1-t)) dt,
-
-    applied per axis, after which the power-weighted rule with orders
-    alpha + 1 and beta + 1 integrates it spectrally for smooth D.  The
-    product rule on the cached Gauss-Legendre grid of D is tried first.
+    The product rule on the cached Gauss-Legendre grid of D is tried first.
+    The fallback folds each kernel onto t^alpha (k^beta), since
+    int_0^1 (t^a - (1-t)^a) g(t) dt = int_0^1 t^a (g(t) - g(1-t)) dt.
     """
     def product(n):
         area = rect.x.width * rect.y.width
         v, m = _d_grid(fv, rect, n).bilinear_form((order.alpha + 1.0, 1), (order.beta + 1.0, 1))
         return area * v, area * m
 
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-
-    def dsamp(xs, ys):
-        # A function of one variable gives a (n, 1), (1, n) or scalar partial.
-        return np.broadcast_to(np.asarray(
-            mixed_partial(fv, xs[:, None], ys[None, :]), dtype=float
-        ), (xs.size, ys.size))
-
-    scale = 0.25 * rect.x.width * rect.y.width
-
-    def graded_level(n):
-        ut, wt = power_weighted_rule(order.alpha + 1.0, n)
-        uk, wk = power_weighted_rule(order.beta + 1.0, n)
-        xt = ut * a + (1.0 - ut) * b
-        xmt = (1.0 - ut) * a + ut * b
-        yk = uk * c + (1.0 - uk) * d
-        ymk = (1.0 - uk) * c + uk * d
-        g = dsamp(xt, yk) - dsamp(xmt, yk) - dsamp(xt, ymk) + dsamp(xmt, ymk)
-        return scale * float(wt @ g @ wk), scale * float(wt @ np.abs(g) @ wk)
+    def graded(n):
+        xs, wx = _folded_rule(order.alpha + 1.0, rect.x, n, -1.0)
+        ys, wy = _folded_rule(order.beta + 1.0, rect.y, n, -1.0)
+        v, m = _folded_form(wx, _d_samples(fv, xs, ys), wy)
+        scale = 0.25 * rect.x.width * rect.y.width
+        return scale * v, scale * m
     return two_level(product, spec, "product-rule derivative-kernel integral",
-                     lambda: two_level(graded_level, spec, "derivative-kernel integral"))
+                     lambda: two_level(graded, spec, "derivative-kernel integral"))
 
 
 def lemma1_residual(
@@ -630,8 +601,8 @@ def lemma1_residual(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    lhs, _, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     rhs, e_rhs = _folded_derivative_integral(fv, order, rect, spec)
+    lhs, _, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     residual = abs(lhs - rhs)
     qerr = e_lhs + e_rhs
     return LemmaReport(

@@ -17,14 +17,15 @@ round-off floor of the finer level's summed terms is the reported error
 estimate.
 
 The graded nodes move with the order, so each order resamples ``f``.  The
-theorem quantities in :mod:`hhfrac.certify` first try the product rule of
-:func:`hhfrac.quadrature.product_weights` (product integration: Atkinson,
-*The Numerical Solution of Integral Equations of the Second Kind*, 1997,
-sec. 4.2; Sloan & Smith, Numer. Math. 34 (1980) 387-401), which needs ``f``
-only on the fixed tensor Gauss-Legendre grid of the rectangle
-(:func:`gauss_grid_samples`); the public ``frac_integral_1d/2d`` always use
-the graded rules.  ``nodes_per_axis`` sets ``n`` for both, and is capped at
-:data:`MAX_NODES_PER_AXIS`; the finest level ever sampled is ``2n``.
+theorem quantities in :mod:`hhfrac.certify` do not call these integrals: they
+use the product rule of :func:`hhfrac.quadrature.product_weights` (product
+integration: Atkinson, *The Numerical Solution of Integral Equations of the
+Second Kind*, 1997, sec. 4.2; Sloan & Smith, Numer. Math. 34 (1980)
+387-401) on the fixed tensor Gauss-Legendre grid of the rectangle
+(:func:`gauss_grid_samples`), and fall back to the same graded nodes folded
+onto both ends of each axis.  ``nodes_per_axis`` sets ``n`` for every rule,
+and is capped at :data:`MAX_NODES_PER_AXIS`; the finest level ever sampled
+is ``2n``.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ class FracOrder:
                 raise DomainError(f"fractional order {name} must be positive, got {v}")
 
 
-#: Largest ``nodes_per_axis``.  The finer level samples a (2n)^2 grid (8 MB
-#: of float64 at the cap, before the evaluator's temporaries), and the
-#: rounding of the product weights for orders below one grows with ``n``.
+#: Largest ``nodes_per_axis``.  The finest level samples a (2n)^2 grid (32 MiB
+#: of float64 at the cap, before the evaluator's temporaries), or (4n)^2 for
+#: the graded rule folded onto both ends of each axis, and the rounding of the
+#: product weights for orders below one grows with ``n``.
 MAX_NODES_PER_AXIS = 1024
 
 

@@ -487,6 +487,33 @@ class TestDerivativeContract:
         with pytest.raises(DomainError, match=r"BivariateFunction\(f, partial\)"):
             call(f)
 
+    @pytest.mark.parametrize("call", [
+        lambda f: theorem5_bound(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ),
+        lambda f: theorem6_bound(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ,
+                                 HolderExponents.from_p(2.0)),
+        lambda f: lemma1_residual(f, FracOrder(1.5, 0.5), UNIT_SQ),
+    ], ids=["t5", "t6", "lemma1"])
+    def test_rejected_before_f_is_evaluated(self, call):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return x**2 * y**2
+        with pytest.raises(DomainError):
+            call(f)
+        assert calls == []
+
+    def test_divergent_moment_raises_before_f_is_sampled(self):
+        calls = []
+
+        def ev(x, y):
+            calls.append((x, y))
+            return x * y
+        f = BivariateFunction(ev, lambda x, y: 1.0)
+        with pytest.raises(DivergentMomentError):
+            theorem5_bound(f, HWeight.godunova_levin(), FracOrder(1.5, 0.5), UNIT_SQ)
+        assert calls == []
+
     def test_plain_callable_still_serves_chains_and_integrals(self):
         f = lambda x, y: x**2 * y**2  # noqa: E731
         rep = theorem4_chain(f, HWeight.identity(), FracOrder(1.5, 0.5), UNIT_SQ)

@@ -1,7 +1,9 @@
 """The product-integration path of the middle term, A and the lemma1 kernel
-integral: agreement with the graded corner rules, the fallback to them, and
-one set of samples per function, rectangle and level across a sweep."""
+integral: agreement with the folded graded rule, the fallback to it (checked
+against closed forms), and one set of samples per function, rectangle and
+level across a sweep."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.special import beta as beta_fn
 
 import hhfrac.certify as certify
 import hhfrac.fracquad as fracquad
@@ -24,7 +27,7 @@ from hhfrac.certify import (
     theorem4_chain,
 )
 from hhfrac.cli import main
-from hhfrac.errors import DomainError
+from hhfrac.errors import DomainError, QuadratureNonConvergenceError
 from hhfrac.fracquad import MAX_NODES_PER_AXIS, FracOrder, QuadratureSpec, Rectangle
 from hhfrac.funcspace import BivariateFunction, parse_function_spec
 from hhfrac.hweights import HWeight
@@ -127,6 +130,78 @@ class TestFallback:
         out = capsys.readouterr().out
         assert graded(monkeypatch, main, argv) == 0
         assert capsys.readouterr().out == out
+
+
+def folded_moment(order, p, sign):
+    """int_0^1 (t^(order-1) + sign (1-t)^(order-1)) t^p dt in closed form."""
+    return 1.0 / (order + p) + sign * beta_fn(order, p + 1.0)
+
+
+#: Separable f as (coefficient, power of x, power of y) terms, each with an
+#: endpoint kink at 0 in one variable at least.
+SEPARABLE = {
+    "x^0.5 + y^0.5": ((1.0, 0.5, 0.0), (1.0, 0.0, 0.5)),
+    "x^0.5*y^0.7 + x*y": ((1.0, 0.5, 0.7), (1.0, 1.0, 1.0)),
+    "2*x^0.3*y": ((2.0, 0.3, 1.0),),
+}
+
+
+class TestFoldedFallbackAgainstClosedForms:
+    """The forced fallback on the unit square, where the folded kernels
+    (xi^(o-1) + (1-xi)^(o-1)) of the middle term and A and
+    ((1-xi)^o - xi^o) of the lemma1 kernel integrate monomials in closed form."""
+
+    ORDERS = [(0.2, 0.3), (0.5, 1.3), (2.5, 0.7), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("src", sorted(SEPARABLE))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_middle_and_a(self, monkeypatch, src, order):
+        al, be = order
+        terms = SEPARABLE[src]
+        f = parse_function_spec(src)
+        middle = 0.25 * al * be * sum(c * folded_moment(al, px, 1) * folded_moment(be, py, 1)
+                                      for c, px, py in terms)
+        # f(0, y) + f(1, y) and f(x, 0) + f(x, 1) per term: 0^0 = 1
+        a = 0.25 * sum(c * (be * (0.0**px + 1.0) * folded_moment(be, py, 1)
+                            + al * (0.0**py + 1.0) * folded_moment(al, px, 1))
+                       for c, px, py in terms)
+        order = FracOrder(*order)
+        for fn, exact in ((middle_fractional_term_with_estimate, middle),
+                          (a_term_with_estimate, a)):
+            value, err = graded(monkeypatch, fn, f, order, UNIT_SQ, SPEC)
+            assert abs(value - exact) <= err, (fn.__name__, value, exact, err)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_kernel(self, monkeypatch, order):
+        # f = x^2.5 y^1.5, D = 3.75 x^1.5 y^0.5; x(t) = 1 - t on [0, 1], so
+        # int (t^a - (1-t)^a) x(t)^p dt = -folded_moment(a + 1, p, -1) per axis
+        f = BivariateFunction(lambda x, y: x**2.5 * y**1.5,
+                              lambda x, y: 3.75 * x**1.5 * y**0.5)
+        al, be = order
+        exact = 0.25 * 3.75 * folded_moment(al + 1.0, 1.5, -1) * folded_moment(be + 1.0, 0.5, -1)
+        value, err = graded(monkeypatch, certify._folded_derivative_integral,
+                            f, FracOrder(*order), UNIT_SQ, SPEC)
+        assert abs(value - exact) <= err, (value, exact, err)
+
+
+class TestFallbackThatDoesNotConverge:
+    """An interior kink defeats the graded rule too: it raises, naming the quantity."""
+
+    SRC = "sqrt(abs(x-0.3)) + y"
+
+    @pytest.mark.parametrize("fn, what", [(middle_fractional_term_with_estimate, "middle term"),
+                                          (a_term_with_estimate, "A term")])
+    def test_raises_naming_the_quantity(self, fn, what):
+        with pytest.raises(QuadratureNonConvergenceError, match=f"^{what}: "):
+            fn(parse_function_spec(self.SRC), FracOrder(0.5, 1.3), UNIT_SQ)
+
+    def test_verify_reports_an_error(self, capsys):
+        argv = ["verify", "--theorem", "t4", "--f", self.SRC, "--rect", "0", "1", "0", "1",
+                "--alpha", "0.5", "--beta", "1.3", "--h", "identity", "--format", "json"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["error"].startswith("QuadratureNonConvergenceError: middle term: ")
 
 
 def run_levels(monkeypatch, fn, *args):
