@@ -50,6 +50,8 @@ round-off floor of ``|w|^T |F| |w|`` at its finer level; a product-rule
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the
 inequalities are exact in the limit, tolerance exists only for numerics.
+Every sample of f and d^2f/dxdy comes from :func:`hhfrac.fracquad._sample_2d`,
+which raises on a value that is not finite, so no tolerance can be infinite.
 """
 
 from __future__ import annotations
@@ -184,9 +186,17 @@ def _as_bivariate(f) -> BivariateFunction:
     return BivariateFunction(evaluator=f)
 
 
-def _corner_values(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
-    return f.cached(("corners", rect),
-                    lambda: tuple(float(f(px, py)) for px, py in rect.corners()))
+def _corner_values(fv: BivariateFunction, rect: Rectangle) -> tuple[tuple[float, ...], float]:
+    """f at the corners (``rect.corners()`` order) and the midpoint, in one call."""
+    def build():
+        mx, my = rect.midpoint
+        v = _sample_2d(fv, np.array([rect.a, mx, rect.b]), np.array([rect.c, my, rect.d])).tolist()
+        return (v[0][0], v[0][2], v[2][0], v[2][2]), v[1][1]
+    return fv.cached(("corners", rect), build)
+
+
+def _d2f_samples(fv: BivariateFunction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return _sample_2d(lambda x, y: mixed_partial(fv, x, y), xs, ys, "d^2f/dxdy value")
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +246,11 @@ def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
     return fv.cached(("f", rect, n), build)
 
 
-#: Grid points per call of the mixed partial in :func:`_d_samples`: each node of
-#: a differentiated expression holds a temporary of the block's size.
-_D_BLOCK_POINTS = 1 << 14
-
-
-def _d_samples(fv: BivariateFunction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The mixed partial on the grid xs x ys, evaluated in blocks of rows."""
-    grid = np.empty((xs.size, ys.size))
-    step = max(1, _D_BLOCK_POINTS // ys.size)
-    for i in range(0, xs.size, step):
-        # A function of one variable gives a (k, 1), (1, n) or scalar partial.
-        grid[i:i + step] = mixed_partial(fv, xs[i:i + step, None], ys[None, :])
-    return grid
-
-
 def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
     """The mixed partial on the n-point Gauss-Legendre grid of ``rect``."""
     def build():
         xi = gauss_legendre_01(n)[0]
-        return _Grid(_d_samples(fv, rect.a + rect.x.width * xi, rect.c + rect.y.width * xi), n)
+        return _Grid(_d2f_samples(fv, rect.a + rect.x.width * xi, rect.c + rect.y.width * xi), n)
     return fv.cached(("d2f", rect, n), build)
 
 
@@ -299,7 +294,7 @@ def middle_fractional_term_with_estimate(
         # The four corner integrals, each scaled by Gamma(order + 1) / span^order.
         xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
         ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
-        v, m = _folded_form(wx, _sample_2d(fv.evaluator, xs, ys), wy)
+        v, m = _folded_form(wx, _sample_2d(fv, xs, ys), wy)
         return 0.25 * ab * v, 0.25 * ab * m
     return two_level(product, spec, "product-rule middle term",
                      lambda: two_level(graded, spec, "middle term"))
@@ -326,8 +321,8 @@ def a_term_with_estimate(
         xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
         ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
         both = np.ones(2)
-        vy, my = _folded_form(both, _sample_2d(fv.evaluator, np.array([rect.a, rect.b]), ys), wy)
-        vx, mx = _folded_form(wx, _sample_2d(fv.evaluator, xs, np.array([rect.c, rect.d])), both)
+        vy, my = _folded_form(both, _sample_2d(fv, np.array([rect.a, rect.b]), ys), wy)
+        vx, mx = _folded_form(wx, _sample_2d(fv, xs, np.array([rect.c, rect.d])), both)
         return (0.25 * (order.beta * vy + order.alpha * vx),
                 0.25 * (order.beta * my + order.alpha * mx))
     return two_level(product, spec, "product-rule A term",
@@ -430,13 +425,13 @@ def theorem4_chain(
     """
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
-    left = float(fv(*rect.midpoint))
+    corners, left = _corner_values(fv, rect)
     mft, e_mft = middle_fractional_term_with_estimate(fv, order, rect, spec)
     h2 = h_eval(h, 0.5) ** 2
     middle = 4.0 * h2 * mft
     m_alpha, e_ma = h_moment_m(h, order.alpha)
     m_beta, e_mb = h_moment_m(h, order.beta)
-    corner_sum = sum(_corner_values(fv, rect))
+    corner_sum = sum(corners)
     ab = order.alpha * order.beta
     right = h2 * ab * corner_sum * m_alpha * m_beta
     qerr = (4.0 * h2 * e_mft
@@ -471,15 +466,15 @@ def theorem1_chain(
     return replace(report, notes=tuple(n for n in report.notes if n != MOMENT_WEIGHT_NOTE))
 
 
-def _corner_derivatives(f: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
-    """|d^2 f / dx dy| at (a,c), (a,d), (b,c), (b,d)."""
-    return f.cached(("corner-d2f", rect), lambda: tuple(
-        abs(float(mixed_partial(f, px, py))) for px, py in rect.corners()
-    ))
+def _corner_derivatives(fv: BivariateFunction, rect: Rectangle) -> tuple[float, ...]:
+    """|d^2 f / dx dy| at the corners, in ``rect.corners()`` order."""
+    return fv.cached(("corner-d2f", rect), lambda: tuple(map(abs, _d2f_samples(
+        fv, np.array([rect.a, rect.b], dtype=float), np.array([rect.c, rect.d], dtype=float)
+    ).ravel().tolist())))
 
 
 def _lhs_block_with_estimate(fv, order, rect, spec):
-    corner_avg = sum(_corner_values(fv, rect)) / 4.0
+    corner_avg = sum(_corner_values(fv, rect)[0]) / 4.0
     mft, e1 = middle_fractional_term_with_estimate(fv, order, rect, spec)
     a_val, e2 = a_term_with_estimate(fv, order, rect, spec)
     return corner_avg + mft - a_val, a_val, e1 + e2
@@ -579,7 +574,7 @@ def _folded_derivative_integral(
     def graded(n):
         xs, wx = _folded_rule(order.alpha + 1.0, rect.x, n, -1.0)
         ys, wy = _folded_rule(order.beta + 1.0, rect.y, n, -1.0)
-        v, m = _folded_form(wx, _d_samples(fv, xs, ys), wy)
+        v, m = _folded_form(wx, _d2f_samples(fv, xs, ys), wy)
         scale = 0.25 * rect.x.width * rect.y.width
         return scale * v, scale * m
     return two_level(product, spec, "product-rule derivative-kernel integral",

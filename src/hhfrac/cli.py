@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -27,6 +28,7 @@ import sys
 from itertools import product
 
 from .certify import (
+    DEFAULT_ABS_TOL,
     HolderExponents,
     lemma1_residual,
     theorem1_chain,
@@ -214,10 +216,7 @@ def _quad_spec(args) -> QuadratureSpec:
 
 
 def _rect(args) -> Rectangle:
-    vals = [float(v) for v in args.rect]
-    if len(vals) != 4:
-        raise UsageError("--rect needs four numbers: a b c d")
-    return Rectangle.from_bounds(*vals)
+    return Rectangle.from_bounds(*(float(v) for v in args.rect))
 
 
 def _status_exit(status: str) -> int:
@@ -228,7 +227,10 @@ def _status_exit(status: str) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_VERIFY_DEFAULTS = {"nodes": 64, "rel_tol": 1e-9, "abs_tol": 1e-8, "format": "text"}
+_SPEC = QuadratureSpec()
+_QUAD_DEFAULTS = {"nodes": _SPEC.nodes_per_axis, "rel_tol": _SPEC.target_rel_tol}
+_VERIFY_DEFAULTS = {**_QUAD_DEFAULTS, "abs_tol": DEFAULT_ABS_TOL, "format": "text"}
+_GRID_DEFAULT = inspect.signature(check_coordinate_h_convex).parameters["grid"].default
 
 
 def _apply_defaults(args, defaults) -> None:
@@ -517,7 +519,7 @@ _CHECK_COLUMNS = ("verdict", "samples_checked", "worst_violation", "tol",
 
 
 def _cmd_check(args) -> int:
-    _apply_defaults(args, {"grid": 17, "format": "text", "concave": False})
+    _apply_defaults(args, {"grid": _GRID_DEFAULT, "format": "text", "concave": False})
     for required in ("f", "h", "rect"):
         if getattr(args, required) is None:
             raise UsageError(f"--{required} is required")
@@ -573,7 +575,7 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_frac(args) -> int:
-    _apply_defaults(args, {"nodes": 64, "rel_tol": 1e-9, "format": "text"})
+    _apply_defaults(args, {**_QUAD_DEFAULTS, "format": "text"})
     if (args.f1 is None) == (args.f is None):
         raise UsageError("give exactly one of --f1 (one variable) or --f (two variables)")
     if args.alpha is None:
@@ -658,11 +660,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_quadrature(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=None,
-                   help=("quadrature nodes per axis n; levels n/2 and n are "
-                         "compared first, and 2n is added only when they differ "
-                         f"beyond round-off (default 64, at most {MAX_NODES_PER_AXIS})"))
+                   help=("quadrature nodes per axis n; levels n/2 and n are compared "
+                         "first, and 2n is added only when they differ beyond round-off "
+                         f"(default {_SPEC.nodes_per_axis}, at most {MAX_NODES_PER_AXIS})"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
-                   help="quadrature target relative tolerance (default 1e-9)")
+                   help=f"quadrature target relative tolerance (default {_SPEC.target_rel_tol!r})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -692,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default=None, help="identity | power:<s> | one | gl | table:<path>")
     p.add_argument("--rect", nargs=4, type=float, default=None, metavar=("A", "B", "C", "D"))
     p.add_argument("--grid", type=int, default=None,
-                   help=f"points per axis (default 17, at most {MAX_GRID})")
+                   help=f"points per axis (default {_GRID_DEFAULT}, at most {MAX_GRID})")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--concave", action="store_true", default=None,
                    help="check the reversed (h-concave) inequality")

@@ -25,7 +25,8 @@ Second Kind*, 1997, sec. 4.2; Sloan & Smith, Numer. Math. 34 (1980)
 (:func:`gauss_grid_samples`), and fall back to the same graded nodes folded
 onto both ends of each axis.  ``nodes_per_axis`` sets ``n`` for every rule,
 and is capped at :data:`MAX_NODES_PER_AXIS`; the finest level ever sampled
-is ``2n``.
+is ``2n``.  Here, in :mod:`hhfrac.certify` and in :mod:`hhfrac.hweights`,
+every value of f or its mixed partial on points comes from :func:`_sample_2d`.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ class QuadratureSpec:
 _DEFAULT_SPEC = QuadratureSpec()
 
 
-def _as_evaluator(f) -> Callable:
-    """Accept either a plain callable or an object with an ``evaluator``."""
-    return getattr(f, "evaluator", f)
+#: Points per call of f in :func:`_sample_2d`, as each node of an expression
+#: holds a temporary of a block's size.  At least ``hweights._BLOCK_BYTES // 8``,
+#: the certifier's largest table, so each table is one call by default.
+_BLOCK_POINTS = 1 << 15
 
 
 def _sample_1d(f: Callable, ts: np.ndarray) -> np.ndarray:
@@ -189,31 +191,38 @@ def _sample_1d(f: Callable, ts: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise EvaluationError(f"function value not finite at t={ts[i]!r}")
+        raise EvaluationError(f"function value not finite at t={float(ts[i])!r}")
     return vals
 
 
-def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """f on the grid xs x ys.  A scalar or 2D result that broadcasts to the
-    grid (a function of one variable gives (n, 1) or (1, n)) is expanded to
-    a contiguous copy, so the quadrature sums run in the same order as for
-    any other f; callables that reject arrays or return another shape are
-    called per point."""
-    shape = (xs.size, ys.size)
-    try:
-        vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-        if vals.shape != shape:
-            if vals.ndim not in (0, 2):
-                raise ValueError
-            vals = np.broadcast_to(vals, shape).copy()
-    except (TypeError, ValueError):
-        vals = np.array([[float(f(float(x), float(y))) for y in ys] for x in xs])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise EvaluationError(
-            f"function value not finite at (x={xs[i]!r}, y={ys[j]!r})"
-        )
+def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray,
+               what: str = "function value") -> np.ndarray:
+    """f (a ``BivariateFunction`` or plain callable) on the grid xs x ys, in
+    blocks of whole rows: the one place where f or its mixed partial meets
+    points.  A result that broadcasts to a block (f of one variable gives
+    (k, 1) or (1, n)) is expanded, so sums run in the same order as for any
+    f; a callable that rejects arrays is called per point.  A value that is
+    not finite raises :class:`EvaluationError` naming ``what`` and the point."""
+    rows = max(1, _BLOCK_POINTS // ys.size)
+    vals = None if rows >= xs.size else np.empty((xs.size, ys.size))
+    for i in range(0, xs.size, rows):
+        x = xs[i:i + rows]
+        try:
+            block = np.asarray(f(x[:, None], ys[None, :]), dtype=float)
+            if block.shape != (x.size, ys.size):
+                if block.ndim not in (0, 2):
+                    raise ValueError
+                block = np.broadcast_to(block, (x.size, ys.size)).copy()
+        except (TypeError, ValueError):
+            block = np.array([[float(f(float(p), float(q))) for q in ys] for p in x])
+        if vals is None:
+            vals = block
+        else:
+            vals[i:i + rows] = block
+    # v.v is cheap, and overflows for finite values only beyond |f| ~ 1e154
+    if not math.isfinite(np.vdot(vals, vals)) and not np.isfinite(vals).all():
+        i, j = np.argwhere(~np.isfinite(vals))[0]
+        raise EvaluationError(f"{what} not finite at (x={float(xs[i])!r}, y={float(ys[j])!r})")
     return vals
 
 
@@ -226,13 +235,12 @@ def gauss_grid_samples(f, rect: Rectangle, n: int
     ``edges_y`` the (n, 2) sections ``f(x_i, c)``, ``f(x_i, d)``, with
     ``x_i = a + (b - a) xi_i`` and ``y_l = c + (d - c) xi_l``.
     """
-    ev = _as_evaluator(f)
     xi, _ = gauss_legendre_01(n)
     xs = rect.a + rect.x.width * xi
     ys = rect.c + rect.y.width * xi
-    return (_sample_2d(ev, xs, ys),
-            _sample_2d(ev, np.array([rect.a, rect.b]), ys),
-            _sample_2d(ev, xs, np.array([rect.c, rect.d])))
+    return (_sample_2d(f, xs, ys),
+            _sample_2d(f, np.array([rect.a, rect.b]), ys),
+            _sample_2d(f, xs, np.array([rect.c, rect.d])))
 
 
 def _axis_samples(order: float, side: Side, interval: Interval, at: float,
@@ -277,11 +285,10 @@ def frac_integral_1d_with_estimate(
     if not (math.isfinite(order) and order > 0.0):
         raise DomainError(f"order must be positive, got {order}")
     _check_at_1d(side, interval, at)
-    ev = _as_evaluator(f)
 
     def level(n):
         pts, w, scale = _axis_samples(order, side, interval, at, n)
-        vals = _sample_1d(ev, pts)
+        vals = _sample_1d(f, pts)
         # The magnitude needs no |w|: the rule weights are >= 0.
         return scale * float(np.dot(w, vals)), scale * float(np.dot(w, np.abs(vals)))
     return two_level(level, spec, "1d fractional integral")
@@ -319,12 +326,11 @@ def frac_integral_2d_with_estimate(
     one-axis substitutions; ``f`` is sampled on the resulting grid.
     """
     _check_at_2d(corner, rect, at)
-    ev = _as_evaluator(f)
 
     def level(n):
         xs, wx, sx = _axis_samples(order.alpha, corner.x_side, rect.x, at[0], n)
         ys, wy, sy = _axis_samples(order.beta, corner.y_side, rect.y, at[1], n)
-        vals = _sample_2d(ev, xs, ys)
+        vals = _sample_2d(f, xs, ys)
         return sx * sy * float(wx @ vals @ wy), sx * sy * float(wx @ np.abs(vals) @ wy)
     return two_level(level, spec, "2d fractional integral")
 

@@ -538,8 +538,9 @@ def _lazy_mixed_partial(ast: Expression) -> Callable:
 class BivariateFunction:
     """An evaluable f(x, y) with an optional mixed partial d^2 f / dx dy.
 
-    ``evaluator`` (and ``mixed_partial`` when present) must accept numpy
-    arrays and broadcast.  The trapezoid bounds and the lemma1 identity
+    ``evaluator`` (and ``mixed_partial`` when present) should accept numpy
+    arrays and broadcast; one that takes only scalars is called per point,
+    slowly.  The trapezoid bounds and the lemma1 identity
     (:func:`hhfrac.theorem5_bound`, :func:`hhfrac.theorem6_bound`,
     :func:`hhfrac.lemma1_residual`) need ``mixed_partial``; the chains, the
     fractional integrals and the convexity certificate use only

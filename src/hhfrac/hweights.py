@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, HHFracError
 from .fracquad import Rectangle, _sample_2d
 
 __all__ = [
@@ -286,14 +286,13 @@ def inequality_deficit(f, h: HWeight, t: float, k: float,
     Positive values violate h-convexity (for ``direction="concave"`` the sign
     is flipped).  Scalar arithmetic throughout, independent of the sweep.
     """
-    ev = getattr(f, "evaluator", f)
     x, u = p1
     y, w = p2
-    lhs = float(ev(t * x + (1.0 - t) * y, k * u + (1.0 - k) * w))
+    lhs = float(f(t * x + (1.0 - t) * y, k * u + (1.0 - k) * w))
     ht, hk = h_eval(h, t), h_eval(h, k)
     hmt, hmk = h_eval(h, 1.0 - t), h_eval(h, 1.0 - k)
-    rhs = (ht * hk * float(ev(x, u)) + hk * hmt * float(ev(y, u))
-           + ht * hmk * float(ev(x, w)) + hmt * hmk * float(ev(y, w)))
+    rhs = (ht * hk * float(f(x, u)) + hk * hmt * float(f(y, u))
+           + ht * hmk * float(f(x, w)) + hmt * hmk * float(f(y, w)))
     deficit = lhs - rhs
     return -deficit if direction == "concave" else deficit
 
@@ -340,20 +339,7 @@ def _lattice(lo: float, hi: float, grid_pts: np.ndarray, m: np.ndarray) -> np.nd
     return np.where(m % g1 == 0, grid_pts[m // g1], lo + (hi - lo) * (m / g1**2))
 
 
-def _eval_table(ev, xs: np.ndarray, ys: np.ndarray):
-    """f over xs x ys, expanded to that shape, and its largest |f|; None
-    where f raises or is not finite, so that the sweep decides."""
-    try:
-        vals = np.asarray(ev(xs[:, None], ys[None, :]), dtype=float)
-    except Exception:  # the sweep evaluates f again and raises as it always has
-        return None
-    lo, hi = float(vals.min()), float(vals.max())  # NaN propagates
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    return np.broadcast_to(vals, (xs.size, ys.size)), max(-lo, hi)
-
-
-def _section_test(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
+def _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
     """The tolerance of the pass the sweep would certify, if a bound settles
     it without the sweep; None when the bound cannot.
 
@@ -402,11 +388,11 @@ def _section_test(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
 
     for v0 in range(0, uy.size, vc):
         vs = uy[v0:v0 + vc]
-        got = _eval_table(ev, ux, vs)
-        if got is None:
+        try:
+            T = _sample_2d(f, ux, vs)
+        except HHFracError:  # the sweep evaluates f again and raises there
             return None
-        T, t_max = got
-        max_abs_f = max(max_abs_f, t_max)
+        max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
         Fx = T[gx]  # f(x_i, v)
         for s0 in range(v_start[v0], v_start[v0 + vs.size], sc):
             sel = by_v[s0:min(s0 + sc, v_start[v0 + vs.size])]
@@ -479,7 +465,6 @@ def check_coordinate_h_convex(
         raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
     if direction not in ("convex", "concave"):
         raise DomainError(f"direction must be 'convex' or 'concave', got {direction!r}")
-    ev = getattr(f, "evaluator", f)
     g = int(grid)
     xg = np.linspace(rect.a, rect.b, g)
     yg = np.linspace(rect.c, rect.d, g)
@@ -488,7 +473,7 @@ def check_coordinate_h_convex(
         tj = tj[1:-1]
     tg = tj / (g - 1)  # correctly rounded, as the lattice below is exact
 
-    F = _sample_2d(ev, xg, yg)
+    F = _sample_2d(f, xg, yg)
     if direction == "convex" and h.family is not HFamily.IDENTITY and F.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(F)), F.shape)
         raise DomainError(
@@ -515,7 +500,7 @@ def check_coordinate_h_convex(
     # A pass that the section bound settles needs no sweep.  The diagonal
     # pairs put every grid abscissa on the lattice, at m = (g-1)*i.
     gx = np.searchsorted(um, (g - 1) * np.arange(g))
-    settled_tol = _section_test(ev, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction)
+    settled_tol = _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction)
     if settled_tol is not None:
         return _pass_certificate(samples, settled_tol, g)
     # The table is split into nq equal chunks of ordinate pairs that fit the
@@ -540,12 +525,8 @@ def check_coordinate_h_convex(
         for q0 in range(0, npair, qc):
             qs = slice(q0, q0 + qc)
             Yq = uy[IX[k, qs]]
-            Lk = np.asarray(ev(ux[:, None], Yq[None, :]), dtype=float)
-            lo, hi = float(Lk.min()), float(Lk.max())  # NaN propagates
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise EvaluationError("f is not finite at a sampled combination point")
-            max_abs_f = max(max_abs_f, -lo, hi)
-            Lk = np.broadcast_to(Lk, (ux.size, Yq.size))
+            Lk = _sample_2d(f, ux, Yq, "function value at a combination point")
+            max_abs_f = max(max_abs_f, -float(Lk.min()), float(Lk.max()))
             for p0 in range(0, npair, pc):
                 ps = slice(p0, p0 + pc)
                 G1, G2 = G[i1[ps], qs], G[i2[ps], qs]

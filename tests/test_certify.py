@@ -1,10 +1,12 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hhfrac import certify
 from hhfrac.certify import (
     HolderExponents,
     KINK_NOTE,
@@ -21,7 +23,7 @@ from hhfrac.certify import (
     theorem5_bound,
     theorem6_bound,
 )
-from hhfrac.errors import DivergentMomentError, DomainError
+from hhfrac.errors import DivergentMomentError, DomainError, EvaluationError
 from hhfrac.fracquad import Corner, FracOrder, Rectangle, frac_integral_2d
 from hhfrac.funcspace import (
     BivariateFunction,
@@ -29,7 +31,8 @@ from hhfrac.funcspace import (
     mixed_partial,
     parse_function_spec,
 )
-from hhfrac.hweights import HWeight, h_eval, load_table
+from hhfrac.hweights import HWeight, check_coordinate_h_convex, h_eval, load_table
+from hhfrac.quadrature import gauss_legendre_01
 
 from oracles import brute_frac_1d, brute_frac_2d, table_moment_exact
 
@@ -541,3 +544,93 @@ class TestScalingCovariance:
             assert r_big.left == pytest.approx(r_unit.left, rel=1e-9)
             assert r_big.middle == pytest.approx(r_unit.middle, rel=1e-9)
             assert r_big.right == pytest.approx(r_unit.right, rel=1e-9)
+
+
+def _sqrt_twin(sqrt):
+    """x^2 y^2 + sqrt(1 + x^2 + y^2) and its exact mixed partial, built on
+    ``sqrt``: with ``math.sqrt`` both reject arrays.  Both twins round every
+    operation alike, as sqrt is correctly rounded."""
+    def f(x, y):
+        return x * x * y * y + sqrt(1.0 + x * x + y * y)
+
+    def d2f(x, y):
+        s = sqrt(1.0 + x * x + y * y)
+        return 4.0 * x * y - x * y / (s * s * s)
+    return BivariateFunction(f, d2f)
+
+
+def _every_entry_point(f, rect):
+    order, h = FracOrder(0.75, 1.3), HWeight.power(0.5)
+    return [
+        theorem1_chain(f, order, rect),
+        theorem4_chain(f, h, order, rect),
+        theorem5_bound(f, h, order, rect),
+        theorem6_bound(f, h, order, rect, HolderExponents.from_p(2.0)),
+        lemma1_residual(f, order, rect),
+        frac_integral_2d(f, order, Corner.UPPER_LOWER, rect, (rect.a, rect.d)),
+        check_coordinate_h_convex(f, HWeight.identity(), rect, grid=5),
+        check_coordinate_h_convex(f, HWeight.identity(), rect, grid=5, direction="concave"),
+    ]
+
+
+def _inf_at(px, py, g):
+    return lambda x, y: np.where((x == px) & (y == py), np.inf, g(x, y))
+
+
+_GL = gauss_legendre_01(32)[0]  # the first product-rule level at 64 nodes
+_GRADED_X = certify._folded_rule(1.5, UNIT_SQ.x, 32, -1.0)[0][5]
+_GRADED_Y = certify._folded_rule(2.3, UNIT_SQ.y, 32, -1.0)[0][7]
+
+
+def _bad_f(px, py):
+    return BivariateFunction(_inf_at(px, py, lambda x, y: x * y), lambda x, y: 1.0 + 0.0 * x * y)
+
+
+def _bad_d2f(px, py, f=lambda x, y: x * y, d2f=lambda x, y: 1.0 + 0.0 * x * y):
+    return BivariateFunction(f, _inf_at(px, py, d2f))
+
+
+#: f or its mixed partial infinite at one point: the call that samples it,
+#: the quantity named and the point.
+_NON_FINITE_CASES = {
+    "f-corner-t4": (lambda: theorem4_chain(_bad_f(1.0, 1.0), HWeight.identity(),
+                                           FracOrder(0.5, 1.3), UNIT_SQ),
+                    "function value", 1.0, 1.0),
+    "f-midpoint-t4": (lambda: theorem4_chain(_bad_f(0.5, 0.5), HWeight.identity(),
+                                             FracOrder(0.5, 1.3), UNIT_SQ),
+                      "function value", 0.5, 0.5),
+    "f-gauss-node-t1": (lambda: theorem1_chain(_bad_f(_GL[5], _GL[7]), FracOrder(0.5, 1.3),
+                                               UNIT_SQ),
+                        "function value", _GL[5], _GL[7]),
+    "d2f-corner-t5": (lambda: theorem5_bound(_bad_d2f(1.0, 0.0), HWeight.identity(),
+                                             FracOrder(0.5, 1.3), UNIT_SQ),
+                      "d^2f/dxdy value", 1.0, 0.0),
+    "d2f-gauss-node-lemma1": (lambda: lemma1_residual(_bad_d2f(_GL[5], _GL[7]),
+                                                      FracOrder(0.5, 1.3), UNIT_SQ),
+                              "d^2f/dxdy value", _GL[5], _GL[7]),
+    # sqrt(xy) converges only algebraically on the product grid, so the
+    # kernel integral falls back to the graded rule
+    "d2f-graded-node-lemma1": (lambda: lemma1_residual(
+        _bad_d2f(_GRADED_X, _GRADED_Y, lambda x, y: (x * y) ** 1.5,
+                 lambda x, y: 2.25 * np.sqrt(x * y)),
+        FracOrder(0.5, 1.3), UNIT_SQ),
+        "d^2f/dxdy value", _GRADED_X, _GRADED_Y),
+}
+
+
+class TestOneSampler:
+    """Every value of f and d^2f/dxdy on points comes from one sampler."""
+
+    @pytest.mark.parametrize("rect", [UNIT_SQ, OFF_SQ], ids=["unit", "off"])
+    def test_scalar_only_twin_matches_numpy_twin(self, rect):
+        got = _every_entry_point(_sqrt_twin(math.sqrt), rect)
+        want = _every_entry_point(_sqrt_twin(np.sqrt), rect)
+        assert [c.verdict for c in want[-2:]] == ["pass", "fail"]
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("case", sorted(_NON_FINITE_CASES))
+    def test_non_finite_sample_raises_naming_it(self, case):
+        call, what, px, py = _NON_FINITE_CASES[case]
+        point = f"not finite at (x={float(px)!r}, y={float(py)!r})"
+        with pytest.raises(EvaluationError, match=re.escape(f"{what} {point}")):
+            call()

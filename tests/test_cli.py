@@ -56,6 +56,17 @@ class TestVerifyCommand:
         assert code == 0 and rep["status"] == "pass"
         assert rep["result"]["residual"] <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_t5_on_an_infinite_mixed_partial_is_an_error(self, capsys):
+        # d^2f/dxdy = 700 (1 + 700 xy) exp(700 xy) overflows at (1, 1)
+        code, rep = run_json(
+            capsys, "verify", "--theorem", "t5", "--f", "exp(700*x*y)",
+            "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1.3",
+            "--h", "identity",
+        )
+        assert code == 1 and rep["status"] == "error"
+        assert "not finite at (x=1.0, y=1.0)" in rep["error"]
+
     def test_t5_parsed_and_builtin_powersum_agree(self, capsys):
         # The corner derivatives of x^0.5 + y^0.5 are structural zeros: no
         # evaluation at y < 0, no domain error.

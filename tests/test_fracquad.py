@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hhfrac import fracquad
 from hhfrac.errors import DomainError, EvaluationError
 from hhfrac.fracquad import (
     Corner,
@@ -220,6 +222,33 @@ class Test2D:
         assert frac_integral_2d_with_estimate(f, *args) == \
             frac_integral_2d_with_estimate(two_var, *args)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("f", [
+        lambda x, y: np.exp(x) * np.sin(y),
+        lambda x, y: np.exp(x) + 0.0,
+        lambda x, y: 2.0,
+        lambda x, y: math.exp(x) * math.sin(y),
+    ], ids=["two-var", "x-only", "constant", "scalar-only"])
+    def test_blocks_of_rows_equal_one_call(self, monkeypatch, f):
+        xs, ys = np.linspace(0.0, 1.0, 37), np.linspace(0.0, 2.0, 23)
+        whole = fracquad._sample_2d(f, xs, ys)
+        monkeypatch.setattr(fracquad, "_BLOCK_POINTS", 50)  # 2 rows a block, ragged
+        assert fracquad._sample_2d(f, xs, ys).tobytes() == whole.tobytes()
+        assert whole.shape == (37, 23) and whole.flags.c_contiguous
+
+    def test_non_finite_sample_in_a_later_block_is_named(self, monkeypatch):
+        xs, ys = np.linspace(0.0, 1.0, 37), np.linspace(0.0, 2.0, 23)
+        monkeypatch.setattr(fracquad, "_BLOCK_POINTS", 50)
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"d2f not finite at (x={float(xs[30])!r}, y={float(ys[4])!r})")):
+            fracquad._sample_2d(lambda x, y: np.where((x == xs[30]) & (y >= ys[4]), np.nan, x),
+                                xs, ys, "d2f")
+
+    def test_huge_finite_values_pass(self):
+        # v.v overflows here, but every value is finite
+        xs = np.linspace(0.0, 1.0, 5)
+        vals = fracquad._sample_2d(lambda x, y: 1e300 * (1.0 + x * y), xs, xs)
+        assert vals[-1, -1] == 2e300
 
     def test_estimate_present(self):
         _, est = frac_integral_2d_with_estimate(

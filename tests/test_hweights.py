@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hhfrac import hweights
+from hhfrac import fracquad, hweights
 from hhfrac.cli import main as cli_main
 from hhfrac.errors import DomainError, EvaluationDomainError, EvaluationError
 from hhfrac.fracquad import Rectangle
@@ -408,6 +409,20 @@ class TestCertifierKernel:
 
         with pytest.raises(EvaluationError, match=match):
             check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
+
+    def test_non_finite_combination_point_is_named(self):
+        # 1/16 is the combination abscissa (3/4)*0 + (1/4)*(1/4) of grid 5,
+        # and no grid abscissa
+        def f(x, y):
+            return np.where((x == 0.0625) & (y == 0.0), np.inf, x * y)
+
+        with pytest.raises(EvaluationError, match=re.escape(
+                "function value at a combination point not finite at (x=0.0625, y=0.0)")):
+            check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
+
+    def test_each_table_is_one_sampler_call_by_default(self):
+        # a table holds at most _BLOCK_BYTES // 8 points
+        assert fracquad._BLOCK_POINTS >= hweights._BLOCK_BYTES // 8
 
     def test_memory_is_bounded_by_the_block_budget(self, monkeypatch):
         budget = 1 << 20
