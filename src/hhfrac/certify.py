@@ -142,8 +142,8 @@ class BoundReport:
     lhs_abs: float
     rhs: float
     slack: float
-    passed: bool
     a_term: float
+    passed: bool
     quadrature_error: float
     tol: float
     notes: tuple[str, ...] = ()
@@ -480,6 +480,19 @@ def _lhs_block_with_estimate(fv, order, rect, spec):
     return corner_avg + mft - a_val, a_val, e1 + e2
 
 
+def _bound_report(fv, order, rect, spec, abs_tol, rhs, e_rhs) -> BoundReport:
+    """|lhs| <= rhs decided against ``tol``; the caller computes the rhs
+    first, so a weight or function it rejects samples nothing for the lhs."""
+    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
+    qerr = e_lhs + e_rhs
+    tol = max(abs_tol, 10.0 * qerr)
+    slack = rhs - abs(lhs)
+    return BoundReport(
+        lhs_abs=abs(lhs), rhs=rhs, slack=slack, a_term=a_val, passed=(slack >= -tol),
+        quadrature_error=qerr, tol=tol, notes=(KINK_NOTE,) if fv.kinked else (),
+    )
+
+
 def theorem5_bound(
     f,
     h: HWeight,
@@ -499,18 +512,10 @@ def theorem5_bound(
     k1a, e_k1a = h_moment_m(h, order.alpha + 1.0)
     k1b, e_k1b = h_moment_m(h, order.beta + 1.0)
     d_sum = sum(_corner_derivatives(fv, rect))
-    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     scale = rect.x.width * rect.y.width / 4.0
     rhs = scale * k1a * k1b * d_sum
     e_rhs = scale * d_sum * (e_k1a * k1b + k1a * e_k1b + e_k1a * e_k1b)
-    qerr = e_lhs + e_rhs
-    tol = max(abs_tol, 10.0 * qerr)
-    slack = rhs - abs(lhs)
-    notes = (KINK_NOTE,) if fv.kinked else ()
-    return BoundReport(
-        lhs_abs=abs(lhs), rhs=rhs, slack=slack, passed=(slack >= -tol),
-        a_term=a_val, quadrature_error=qerr, tol=tol, notes=notes,
-    )
+    return _bound_report(fv, order, rect, spec, abs_tol, rhs, e_rhs)
 
 
 def theorem6_bound(
@@ -535,21 +540,13 @@ def theorem6_bound(
     prefactor = (rect.x.width * rect.y.width
                  / ((order.alpha * p + 1.0) * (order.beta * p + 1.0)) ** (1.0 / p))
     d_q = sum(d**q for d in _corner_derivatives(fv, rect))
-    lhs, a_val, e_lhs = _lhs_block_with_estimate(fv, order, rect, spec)
     s_sum = u * u * d_q
     e_sum = d_q * (2.0 * u * e_u + e_u * e_u)
     rhs = prefactor * s_sum ** (1.0 / q)
     e_rhs = 0.0
     if s_sum > 0.0:
         e_rhs = prefactor * (1.0 / q) * s_sum ** (1.0 / q - 1.0) * e_sum
-    qerr = e_lhs + e_rhs
-    tol = max(abs_tol, 10.0 * qerr)
-    slack = rhs - abs(lhs)
-    notes = (KINK_NOTE,) if fv.kinked else ()
-    return BoundReport(
-        lhs_abs=abs(lhs), rhs=rhs, slack=slack, passed=(slack >= -tol),
-        a_term=a_val, quadrature_error=qerr, tol=tol, notes=notes,
-    )
+    return _bound_report(fv, order, rect, spec, abs_tol, rhs, e_rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import inspect
 import io
@@ -251,20 +252,14 @@ def _check_theorem_consistency(args) -> None:
         raise UsageError("--p is only accepted for theorem t6")
 
 
-def _verify_config_dict(args) -> dict:
-    return {
-        "theorem": args.theorem,
-        "f": args.f,
-        "rect": [float(v) for v in args.rect],
-        "alpha": float(args.alpha),
-        "beta": float(args.beta),
-        "h": args.h,
-        "p": None if args.p is None else float(args.p),
-        "nodes": int(args.nodes),
-        "rel_tol": float(args.rel_tol),
-        "abs_tol": float(args.abs_tol),
-        "format": args.format,
-    }
+#: The flags that ``verify`` and ``sweep`` echo as their config, in order.
+#: argparse has already converted each value, also from ``--config``.
+_THEOREM_CONFIG = ("theorem", "f", "rect", "alpha", "beta", "h", "p",
+                   "nodes", "rel_tol", "abs_tol", "format")
+
+
+def _theorem_config(args) -> dict:
+    return {name: getattr(args, name) for name in _THEOREM_CONFIG}
 
 
 def _run_theorem(args, parse=parse_function_spec,
@@ -290,38 +285,32 @@ def _run_theorem(args, parse=parse_function_spec,
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
 
-    if args.theorem in ("t1", "t4"):
-        if args.theorem == "t1":
-            rep = theorem1_chain(f, order, rect, spec, abs_tol)
-        else:
-            rep = theorem4_chain(f, h, order, rect, spec, abs_tol)
-        result = {
-            "left": rep.left, "middle": rep.middle, "right": rep.right,
-            "gap_lm": rep.gap_lm, "gap_mr": rep.gap_mr,
-            "pass": rep.passed, "quadrature_error": rep.quadrature_error,
-            "tol": rep.tol, "notes": list(rep.notes),
-        }
-        return ("pass" if rep.passed else "fail"), result
-    if args.theorem in ("t5", "t6"):
-        if args.theorem == "t5":
-            rep = theorem5_bound(f, h, order, rect, spec, abs_tol)
-        else:
-            rep = theorem6_bound(f, h, order, rect, pq, spec, abs_tol)
-        result = {
-            "lhs_abs": rep.lhs_abs, "rhs": rep.rhs, "slack": rep.slack,
-            "a_term": rep.a_term, "pass": rep.passed,
-            "quadrature_error": rep.quadrature_error, "tol": rep.tol,
-            "notes": list(rep.notes),
-        }
-        return ("pass" if rep.passed else "fail"), result
-    # lemma1
-    rep = lemma1_residual(f, order, rect, spec)
-    result = {
-        "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-        "quadrature_error": rep.quadrature_error, "pass": rep.passed,
-        "notes": [],
-    }
+    if args.theorem == "t1":
+        rep = theorem1_chain(f, order, rect, spec, abs_tol)
+    elif args.theorem == "t4":
+        rep = theorem4_chain(f, h, order, rect, spec, abs_tol)
+    elif args.theorem == "t5":
+        rep = theorem5_bound(f, h, order, rect, spec, abs_tol)
+    elif args.theorem == "t6":
+        rep = theorem6_bound(f, h, order, rect, pq, spec, abs_tol)
+    else:
+        rep = lemma1_residual(f, order, rect, spec)
+    # The report's own fields, in order; "passed" is written "pass".
+    result = {"pass" if fld.name == "passed" else fld.name: getattr(rep, fld.name)
+              for fld in dataclasses.fields(rep)}
+    result["notes"] = list(result.get("notes", ()))
     return ("pass" if rep.passed else "fail"), result
+
+
+def _outcome(args, *parsers) -> tuple[str, dict, str | None]:
+    """``(status, result, error)``: a computational failure becomes status
+    "error" with its message; a usage error propagates."""
+    try:
+        return (*_run_theorem(args, *parsers), None)
+    except UsageError:
+        raise
+    except HHFracError as exc:
+        return "error", {}, f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_verify(args) -> int:
@@ -330,14 +319,8 @@ def _cmd_verify(args) -> int:
         if getattr(args, required) is None:
             raise UsageError(f"--{required.replace('_', '-')} is required")
     _check_theorem_consistency(args)
-    config = _verify_config_dict(args)
-    try:
-        status, result = _run_theorem(args)
-        error = None
-    except UsageError:
-        raise
-    except HHFracError as exc:
-        status, result, error = "error", {}, f"{type(exc).__name__}: {exc}"
+    config = _theorem_config(args)
+    status, result, error = _outcome(args)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -347,7 +330,7 @@ def _cmd_verify(args) -> int:
     }
     if error:
         report["error"] = error
-    row = _sweep_row_from(config, status, result, error)
+    row = _sweep_row_from(config, result, error)
     _write_report(report, args.format, args.output,
                   csv_columns=SWEEP_COLUMNS, csv_rows=[row])
     return _status_exit(status)
@@ -391,12 +374,8 @@ def _parse_axes(entries) -> list[tuple[str, list[float]]]:
 
 
 def _apply_axis_value(args_dict: dict, name: str, value: float) -> None:
-    if name == "alpha":
-        args_dict["alpha"] = value
-    elif name == "beta":
-        args_dict["beta"] = value
-    elif name == "p":
-        args_dict["p"] = value
+    if name in ("alpha", "beta", "p"):
+        args_dict[name] = value
     else:  # s substitutes into the powersum builtin and the power h-weight
         applied = False
         if str(args_dict.get("f", "")).startswith("builtin:powersum"):
@@ -411,23 +390,13 @@ def _apply_axis_value(args_dict: dict, name: str, value: float) -> None:
             )
 
 
-def _sweep_row_from(config: dict, status: str, result: dict,
-                    error: str | None) -> dict:
-    row = {c: None for c in SWEEP_COLUMNS}
-    row.update({
-        "alpha": config.get("alpha"), "beta": config.get("beta"),
-        "s": config.get("s"), "p": config.get("p"),
-        "theorem": config.get("theorem"), "h": config.get("h"),
-        "function": config.get("f"),
-        "pass": None if error else (status == "pass"),
-        "error": error,
-        "notes": "; ".join(result.get("notes", ())) if result else None,
-    })
-    for key in ("left", "middle", "right", "gap_lm", "gap_mr",
-                "lhs_abs", "rhs", "slack", "a_term", "residual",
-                "quadrature_error"):
-        if key in result:
-            row[key] = result[key]
+def _sweep_row_from(config: dict, result: dict, error: str | None) -> dict:
+    """One ``SWEEP_COLUMNS`` row: the parameters from ``config``, then every
+    result field that is a column."""
+    row = {c: config.get(c) for c in SWEEP_COLUMNS}
+    row.update((key, value) for key, value in result.items() if key in row)
+    row.update(function=config["f"], error=error,
+               notes="; ".join(result["notes"]) if result else None)
     return row
 
 
@@ -439,12 +408,7 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"--{required} is required")
     axes = _parse_axes(args.axis)
     axis_names = [name for name, _ in axes]
-    base = {
-        "theorem": args.theorem, "f": args.f, "rect": args.rect,
-        "alpha": args.alpha, "beta": args.beta, "h": args.h, "p": args.p,
-        "nodes": args.nodes, "rel_tol": args.rel_tol, "abs_tol": args.abs_tol,
-        "format": args.format,
-    }
+    base = _theorem_config(args)
 
     rows = math.prod(len(vals) for _, vals in axes)
     if rows > MAX_SWEEP_ROWS:
@@ -482,20 +446,12 @@ def _cmd_sweep(args) -> int:
     parse_h = functools.cache(parse_hweight)
 
     def run_row(cfg: dict) -> dict:
-        ns = argparse.Namespace(**cfg)
-        try:
-            status, result = _run_theorem(ns, parse, parse_h)
-            error = None
-        except UsageError:
-            raise
-        except HHFracError as exc:
-            status, result, error = "error", {}, f"{type(exc).__name__}: {exc}"
-        return _sweep_row_from(cfg, status, result, error)
+        _, result, error = _outcome(argparse.Namespace(**cfg), parse, parse_h)
+        return _sweep_row_from(cfg, result, error)
 
     rows = [run_row(cfg) for cfg in row_configs]
 
     config = dict(base)
-    config["rect"] = [float(v) for v in args.rect]
     config["axes"] = {name: vals for name, vals in axes}
     config["jobs"] = jobs
     report = {
@@ -503,7 +459,7 @@ def _cmd_sweep(args) -> int:
         "command": "sweep",
         "status": "pass",
         "config": config,
-        "rows": [{c: row[c] for c in SWEEP_COLUMNS} for row in rows],
+        "rows": rows,
     }
     _write_report(report, args.format, args.output,
                   csv_columns=SWEEP_COLUMNS, csv_rows=rows)
@@ -667,6 +623,20 @@ def _add_quadrature(p: argparse.ArgumentParser) -> None:
                    help=f"quadrature target relative tolerance (default {_SPEC.target_rel_tol!r})")
 
 
+def _add_theorem(p: argparse.ArgumentParser) -> None:
+    """The flags that ``verify`` and ``sweep`` share."""
+    p.add_argument("--theorem", choices=("t1", "t4", "t5", "t6", "lemma1"), default=None)
+    p.add_argument("--f", default=None)
+    p.add_argument("--rect", nargs=4, type=float, default=None, metavar=("A", "B", "C", "D"))
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--h", default=None)
+    p.add_argument("--p", type=float, default=None, help="Hölder exponent (t6)")
+    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+    _add_quadrature(p)
+    _add_common(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhfrac",
@@ -702,35 +672,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check, parser=p)
 
     p = sub.add_parser("verify", help="evaluate one inequality or the identity")
-    p.add_argument("--theorem", choices=("t1", "t4", "t5", "t6", "lemma1"), default=None)
-    p.add_argument("--f", default=None)
-    p.add_argument("--rect", nargs=4, type=float, default=None, metavar=("A", "B", "C", "D"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--p", type=float, default=None, help="Hölder exponent (t6)")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    _add_quadrature(p)
-    _add_common(p)
+    _add_theorem(p)
     p.set_defaults(handler=_cmd_verify, parser=p)
 
     p = sub.add_parser("sweep", help="verify over a parameter grid")
-    p.add_argument("--theorem", choices=("t1", "t4", "t5", "t6", "lemma1"), default=None)
-    p.add_argument("--f", default=None)
-    p.add_argument("--rect", nargs=4, type=float, default=None, metavar=("A", "B", "C", "D"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+    _add_theorem(p)
     p.add_argument("--axis", action="append", default=None, metavar="NAME=V1,V2,...",
                    help=("sweep axis; repeatable; NAME in alpha, beta, s, p; "
                          f"at most {MAX_SWEEP_ROWS} rows in all"))
     p.add_argument("--jobs", type=int, default=None,
                    help=("accepted for compatibility and ignored: rows always run in "
                          "order on one thread; at least 1; to be removed"))
-    _add_quadrature(p)
-    _add_common(p)
     p.set_defaults(handler=_cmd_sweep, parser=p)
 
     return parser

@@ -326,8 +326,7 @@ def _eval(e: Expression, env: dict):
         else:
             base, expo = _eval(e.args[0], env), _eval(e.args[1], env)
         _domain_check(~((base == 0) & (expo < 0)), e, "zero raised to a negative power")
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            out = np.power(base, expo)
+        out = np.power(base, expo)
         _domain_check(~np.isnan(out), e, "negative base with fractional exponent")
         return out
     if isinstance(e, Call):
@@ -339,8 +338,7 @@ def _eval(e: Expression, env: dict):
             _domain_check(arg >= 0, e, "sqrt of a negative value")
             return np.sqrt(arg)
         if e.func == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(arg)
+            return np.exp(arg)
         if e.func == "sin":
             return np.sin(arg)
         if e.func == "cos":
@@ -364,6 +362,14 @@ def _eval(e: Expression, env: dict):
     raise EvaluationError(f"cannot evaluate node {e!r}")
 
 
+def _eval_quiet(expr: Expression, env: dict):
+    """:func:`_eval` without numpy's floating-point warnings.  A domain
+    violation raises from :func:`_domain_check`, and an overflow leaves a
+    value that is not finite, which the samplers report with its point."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _eval(expr, env)
+
+
 def evaluate(expr: Expression, x, y):
     """Evaluate at (x, y); accepts scalars or numpy arrays (broadcast).
 
@@ -371,13 +377,13 @@ def evaluate(expr: Expression, x, y):
     offending subexpression instead of silently returning NaN.
     """
     scalar = np.isscalar(x) and np.isscalar(y)
-    out = _eval(expr, {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)})
+    out = _eval_quiet(expr, {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float)})
     return float(out) if scalar else out
 
 
 def _evaluate_univariate(expr: Expression, t):
     scalar = np.isscalar(t)
-    out = _eval(expr, {"t": np.asarray(t, dtype=float)})
+    out = _eval_quiet(expr, {"t": np.asarray(t, dtype=float)})
     return float(out) if scalar else out
 
 
@@ -408,7 +414,7 @@ def _fold(cls, a: Expression, b: Expression) -> Expression:
     if isinstance(b, Num):
         if isinstance(a, Num):
             try:
-                return Num(float(_eval(cls(a, b), {})))
+                return Num(float(_eval_quiet(cls(a, b), {})))
             except EvaluationDomainError:
                 return cls(a, b)
         if b.value == 0.0 and cls in (Add, Sub) or b.value == 1.0 and cls in (Mul, Div, Pow):

@@ -478,7 +478,7 @@ def check_coordinate_h_convex(
         i, j = np.unravel_index(int(np.argmin(F)), F.shape)
         raise DomainError(
             f"h-convexity requires f >= 0 on the rectangle; "
-            f"f({xg[i]!r}, {yg[j]!r}) = {F[i, j]!r}"
+            f"f({float(xg[i])!r}, {float(yg[j])!r}) = {float(F[i, j])!r}"
         )
 
     ht = h_eval(h, tg)

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -66,6 +69,20 @@ class TestVerifyCommand:
         )
         assert code == 1 and rep["status"] == "error"
         assert "not finite at (x=1.0, y=1.0)" in rep["error"]
+
+    def test_an_overflowing_f_leaves_stderr_empty(self):
+        # The report names the fault; numpy's overflow warning must not
+        # reach the user as well.
+        src = str(Path(hweights.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        out = subprocess.run(
+            [sys.executable, "-m", "hhfrac.cli", "verify", "--theorem", "t5",
+             "--f", "exp(700*x*y)", "--rect", "0", "1", "0", "1", "--alpha", "0.5",
+             "--beta", "1.3", "--h", "identity"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1 and "status = error" in out.stdout
+        assert out.stderr == ""
 
     def test_t5_parsed_and_builtin_powersum_agree(self, capsys):
         # The corner derivatives of x^0.5 + y^0.5 are structural zeros: no
@@ -375,6 +392,54 @@ class TestGoldenSweeps:
         code, _, err = run_cli(capsys, "sweep", "--f", GOLDEN_F, "--rect", "0", "1", "0", "1",
                                "--nodes", "32", *argv, "--output", str(out))
         assert code == 0, err
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+#: (golden file, exit code, argv): one JSON report of each kind, pinned byte
+#: for byte, so the report dataclasses, the config echo and the emitters
+#: cannot drift.
+GOLDEN_REPORTS = [
+    ("verify_t1.json", 0, ("verify", "--theorem", "t1", "--f", GOLDEN_F,
+                           "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1.5")),
+    ("verify_t4.json", 0, ("verify", "--theorem", "t4", "--f", "exp(x+y)",
+                           "--rect", "0", "1", "0.5", "2", "--alpha", "0.75", "--beta", "2",
+                           "--h", "power:0.5")),
+    ("verify_t5_builtin.json", 0, ("verify", "--theorem", "t5", "--f", "builtin:expsum",
+                                   "--rect", "0", "1", "0.5", "2", "--alpha", "0.5",
+                                   "--beta", "1.3", "--h", "identity")),
+    ("verify_t5_abs.json", 0, ("verify", "--theorem", "t5", "--f", "abs(x-2)*exp(x*y)",
+                               "--rect", "0", "1", "0", "1", "--alpha", "1", "--beta", "2",
+                               "--h", "one")),
+    ("verify_t5_error.json", 1, ("verify", "--theorem", "t5", "--f", "exp(700*x*y)",
+                                 "--rect", "0", "1", "0", "1", "--alpha", "0.5",
+                                 "--beta", "1.3", "--h", "identity")),
+    ("verify_t6.json", 0, ("verify", "--theorem", "t6", "--f", GOLDEN_F,
+                           "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1",
+                           "--h", "power:0.5", "--p", "3")),
+    ("verify_t6_gl.json", 1, ("verify", "--theorem", "t6", "--f", "builtin:product",
+                              "--rect", "0.5", "1", "0", "2", "--alpha", "2", "--beta", "0.5",
+                              "--h", "gl", "--p", "1.5")),
+    ("verify_lemma1.json", 0, ("verify", "--theorem", "lemma1", "--f", "sqrt(x)*exp(y)",
+                               "--rect", "0", "1", "0", "1", "--alpha", "0.5",
+                               "--beta", "0.75")),
+    ("sweep_t4.json", 0, ("sweep", "--theorem", "t4", "--f", "x^2*y^2+1",
+                          "--rect", "0", "1", "0", "1", "--h", "power:0.5", "--beta", "1",
+                          "--axis", "s=0.5,1", "--axis", "alpha=0.5,2")),
+    ("check_hconvex.json", 1, ("check-hconvex", "--f", "exp(x+y)", "--h", "identity",
+                               "--rect", "0", "1", "0", "1", "--concave", "--grid", "9")),
+    ("frac_integrate.json", 0, ("frac-integrate", "--f", GOLDEN_F, "--alpha", "0.5",
+                                "--beta", "1.5", "--corner", "b-d-", "--rect", "0", "1", "0", "1",
+                                "--at", "0.25", "0.5")),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name, exit_code, argv", GOLDEN_REPORTS,
+                             ids=[name for name, _, _ in GOLDEN_REPORTS])
+    def test_json_is_byte_identical(self, capsys, tmp_path, name, exit_code, argv):
+        out = tmp_path / name
+        code, _, err = run_cli(capsys, *argv, "--format", "json", "--output", str(out))
+        assert code == exit_code, err
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 

@@ -199,6 +199,27 @@ class TestEvaluate:
         with pytest.raises(EvaluationDomainError):
             evaluate(parse_expression("x^(0-1)"), 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_a_value_not_a_warning(self):
+        # The samplers report a value that is not finite with its point, so
+        # numpy's warning would only repeat it.
+        x = np.array([1.0, 2.0])
+        out = evaluate(parse_expression("exp(700*x*y) * x^2000 - exp(800*y)"), x, 1.0)
+        assert not np.isfinite(out).any()
+        assert _fold(Mul, Num(1e300), Num(1e300)) == Num(math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("src, x, message", [
+        ("(x-3)^0.5", 1.0, "negative base with fractional exponent in '(x - 3.0)^0.5'"),
+        ("y/(x-1)", 1.0, "division by zero in 'y / (x - 1.0)'"),
+        ("log(x-2)", np.array([3.0, 1.0]), "log of a non-positive value in 'log(x - 2.0)'"),
+        ("exp(x*800) + sqrt(0-x)", 1.0, "sqrt of a negative value in 'sqrt(0.0 - x)'"),
+    ])
+    def test_domain_errors_name_their_subexpression_without_a_warning(self, src, x, message):
+        with pytest.raises(EvaluationDomainError) as ei:
+            evaluate(parse_expression(src), x, 2.0)
+        assert str(ei.value) == message
+
 
 class TestMixedPartial:
     def test_bilinear_constant(self):

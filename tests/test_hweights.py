@@ -211,6 +211,12 @@ class TestCertifier:
         cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
         assert cert.passed
 
+    def test_negative_value_is_named_in_plain_floats(self):
+        f = parse_function_spec("exp(x+y)*sin(x*y)+x^3*y^2")
+        with pytest.raises(DomainError) as ei:
+            check_coordinate_h_convex(f, HWeight.power(0.5), Rectangle.from_bounds(1, 2, 0.5, 3))
+        assert str(ei.value).endswith("f(1.625, 3.0) = -62.03800531788744")
+
     def test_concave_direction_flag(self):
         f = parse_function_spec("0-x^2-y^2")
         cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ,
