@@ -67,6 +67,7 @@ from .fracquad import (
     Interval,
     QuadratureSpec,
     Rectangle,
+    _graded_points,
     _sample_2d,
     gauss_grid_samples,
 )
@@ -74,7 +75,6 @@ from .funcspace import BivariateFunction, mixed_partial
 from .hweights import HFamily, HWeight, h_eval, table_pieces
 from .quadrature import (
     gauss_legendre_01,
-    power_weighted_rule,
     product_weights,
     two_level,
 )
@@ -263,10 +263,11 @@ def _folded_rule(order: float, interval: Interval, n: int,
     """Points and weights of ``int_0^1 t^(order-1) (g(hi - w t) + sign g(lo + w t)) dt``,
     w the width of ``interval``: the graded fallback of every folded kernel,
     ``(1-xi)^(order-1) + sign xi^(order-1)`` at ``xi = (x - lo) / w``.  The
-    points are those of the one-sided integrals anchored at ``hi`` and ``lo``."""
-    u, w = power_weighted_rule(order, n)
-    return (np.concatenate((interval.hi - interval.width * u, interval.lo + interval.width * u)),
-            np.concatenate((w, sign * w)))
+    points are those of the one-sided integrals anchored at ``hi`` and ``lo``,
+    from :func:`hhfrac.fracquad._graded_points`."""
+    xs_hi, w = _graded_points(order, interval.hi, interval.lo, n)
+    xs_lo, _ = _graded_points(order, interval.lo, interval.hi, n)
+    return np.concatenate((xs_hi, xs_lo)), np.concatenate((w, sign * w))
 
 
 def _folded_form(wx: np.ndarray, g: np.ndarray, wy: np.ndarray) -> tuple[float, float]:

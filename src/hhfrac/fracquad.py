@@ -10,6 +10,8 @@ weakly singular kernel is removed exactly by the substitution behind
         int_0^1 s^(alpha-1) f(x - (x - a) s) ds
 
 after which standard Gauss-Legendre converges spectrally for smooth ``f``.
+Every graded point, here and in :mod:`hhfrac.certify`, comes from
+:func:`_graded_points`, which forms it from its nearer end of the interval.
 Every public value is the finer of two adjacent refinement levels from
 :func:`hhfrac.quadrature.two_level`: ``n/2`` and ``n`` nodes per axis when
 they agree to round-off, else ``n`` and ``2n``.  Their disagreement plus the
@@ -243,6 +245,18 @@ def gauss_grid_samples(f, rect: Rectangle, n: int
             _sample_2d(f, xs, np.array([rect.c, rect.d])))
 
 
+def _graded_points(order: float, near: float, far: float,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points ``near + (far - near) u`` and weights ``w`` of
+    ``power_weighted_rule(order, n)``, the kernel at ``near``: the one place
+    where graded points are formed.  A point with ``u > 1/2`` is formed from
+    the far end, as ``far - (far - near) c``, so it keeps its distance to
+    ``far`` where ``u`` itself has rounded to 1."""
+    u, c, w = power_weighted_rule(order, n)
+    step = far - near
+    return np.where(u <= 0.5, near + step * u, far - step * c), w
+
+
 def _axis_samples(order: float, side: Side, interval: Interval, at: float,
                   n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Sample points, weights and the kernel scale for one axis.
@@ -250,14 +264,9 @@ def _axis_samples(order: float, side: Side, interval: Interval, at: float,
     Returns ``(points, weights, scale)`` with the axis contribution equal to
     ``scale * sum(weights * f(points))`` and ``scale = span^order / Gamma(order)``.
     """
-    u, w = power_weighted_rule(order, n)
-    if side is Side.LEFT:
-        span = at - interval.lo
-        pts = at - span * u
-    else:
-        span = interval.hi - at
-        pts = at + span * u
-    return pts, w, span**order / gamma(order)
+    far = interval.lo if side is Side.LEFT else interval.hi
+    pts, w = _graded_points(order, at, far, n)
+    return pts, w, abs(far - at)**order / gamma(order)
 
 
 def _check_at_1d(side: Side, interval: Interval, at: float) -> None:

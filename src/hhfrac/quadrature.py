@@ -11,6 +11,7 @@ Three rules cover every integral in the package:
   spectrally for smooth ``g`` even when the kernel is weakly singular
   (``order < 1``) or has a fractional-power kink (non-integer ``order > 1``).
   The nodes move with the order, so ``g`` is sampled anew for every order.
+  Each node comes with its complement ``1 - u``, free of cancellation.
 * Product-integration weights (Atkinson, *The Numerical Solution of Integral
   Equations of the Second Kind*, 1997, sec. 4.2; Sloan & Smith, Numer. Math.
   34 (1980) 387-401) on the fixed Gauss-Legendre nodes ``xi_i``: ``g`` is
@@ -159,14 +160,18 @@ _FAR_END_GRADING = 4
 
 
 @lru_cache(maxsize=None)
-def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights (u, w) with ``sum w*g(u) ~ int_0^1 s^(order-1) g(s) ds``.
+def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, complements and weights (u, c, w) with
+    ``sum w*g(u) ~ int_0^1 s^(order-1) g(s) ds`` and ``c = 1 - u``.
 
     The rule composes two gradings: ``v = 1 - (1 - r)^m`` clusters nodes at
     the far endpoint and ``u = v^p`` (with ``p * order`` an integer) removes
-    the kernel singularity exactly, with Gauss-Legendre nodes ``r``.  Every
-    weight is non-negative, so ``sum w * |g(u)|`` is the summed term
-    magnitude that :func:`error_floor` expects.
+    the kernel singularity exactly, with Gauss-Legendre nodes ``r``.  Near
+    the far end ``1 - u ~ p (1 - r)^m`` falls below eps, where ``u`` rounds
+    to 1; ``c = -expm1(p log1p(-(1 - r)^m))`` keeps it, with ``1 - r`` the
+    mirrored node, which :func:`gauss_legendre_01` rounds from the same
+    extended root.  Every weight is non-negative, so ``sum w * |g(u)|`` is
+    the summed term magnitude that :func:`error_floor` expects.
     """
     p = _KERNEL_GRADING_BOOST * grading_exponent(order)
     m = float(_FAR_END_GRADING)
@@ -174,11 +179,12 @@ def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     omr = 1.0 - r
     v = 1.0 - omr**m
     u = v**p
+    c = -np.expm1(p * np.log1p(-r[::-1] ** m))
     # p * order - 1 >= 3 by construction, so the weight vanishes at v = 0.
     w = gw * m * omr ** (m - 1.0) * p * v ** (p * order - 1.0)
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
+    for a in (u, c, w):
+        a.setflags(write=False)
+    return u, c, w
 
 
 @lru_cache(maxsize=None)

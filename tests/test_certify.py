@@ -24,7 +24,7 @@ from hhfrac.certify import (
     theorem6_bound,
 )
 from hhfrac.errors import DivergentMomentError, DomainError, EvaluationError
-from hhfrac.fracquad import Corner, FracOrder, Rectangle, frac_integral_2d
+from hhfrac.fracquad import Corner, FracOrder, QuadratureSpec, Rectangle, frac_integral_2d
 from hhfrac.funcspace import (
     BivariateFunction,
     builtin_function,
@@ -430,6 +430,17 @@ class TestLemma1Residual:
     def test_off_unit_rectangle(self):
         rep = lemma1_residual(EXPSUM, FracOrder(1.5, 2.0), OFF_SQ)
         assert rep.passed
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 512, 1024])
+    @pytest.mark.parametrize("m", [0.25, 0.5, 0.75])
+    def test_partial_singular_at_the_origin(self, m, n):
+        # d^2f/dxdy = m^2 (xy)^(m-1) is integrable but infinite at x = 0 or
+        # y = 0, which the graded fallback approaches as n grows.  Per axis
+        # int_0^1 (2t - 1) m (1 - t)^(m-1) dt = (1 - m) / (1 + m).
+        rep = lemma1_residual(parse_function_spec(f"x^{m}*y^{m}"), FracOrder(1, 1), UNIT_SQ,
+                              QuadratureSpec(nodes_per_axis=n))
+        assert rep.passed
+        assert abs(rep.rhs - ((1 - m) / (1 + m)) ** 2 / 4) <= rep.quadrature_error
 
     @pytest.mark.parametrize("src", ["x^3", "y^2", "2"])
     def test_function_of_one_variable(self, src):

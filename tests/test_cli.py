@@ -48,6 +48,15 @@ class TestVerifyCommand:
         assert code == 0
         assert rep["result"]["residual"] <= 10.0 * rep["result"]["quadrature_error"]
 
+    def test_lemma1_with_a_partial_singular_at_the_origin(self, capsys):
+        # At --nodes 128 the graded fallback's finest level comes within
+        # eps of x = 0 and y = 0, where d^2f/dxdy is infinite.
+        code, rep = run_json(
+            capsys, "verify", "--theorem", "lemma1", "--f", "x^0.5*y^0.7 + x*y",
+            "--rect", "0", "1", "0", "1", "--alpha", "0.5", "--beta", "1.3", "--nodes", "128",
+        )
+        assert code == 0 and rep["status"] == "pass", rep
+
     def test_lemma1_exact_identity_holds_on_a_parsed_function(self, capsys):
         # The mixed partial comes from the expression, so the identity holds
         # to round-off.

@@ -1,13 +1,14 @@
 """Every reported error covers the true error, on random separable functions.
 
-f = sum_i c_i g_i(x) k_i(y), with each factor t^m (m = 0..5, and a few
-m in (1, 3) whose higher derivatives are singular at t = 0), exp(l t) or
-sin/cos(w t + p).  For such f the 1D and 2D fractional integrals, the middle
-term, A and the lemma1 kernel integral are finite sums of products of
-one-variable integrals.  Those come from closed forms for t^m on an interval
-from 0, and otherwise from scipy's ``quad(weight='alg')``, which integrates
-the algebraic kernel exactly.  The references share no code with
-hhfrac's quadrature.
+f = sum_i c_i g_i(x) k_i(y), with each factor t^m (m = 0..5, and m in
+(0, 1) or (1, 3), whose derivatives of some order are singular at t = 0),
+exp(l t) or sin/cos(w t + p).  For such f the 1D and 2D fractional integrals,
+the middle term, A and the lemma1 kernel integral are finite sums of products
+of one-variable integrals.  For t^m those are closed forms in 2F1 (Euler's
+integral, DLMF 15.6.1), evaluated by mpmath, exact for any origin >= 0;
+otherwise they come from scipy's ``quad(weight='alg')``, which integrates the
+algebraic kernel exactly.  The references share no code with hhfrac's
+quadrature.
 
 Each f is passed once as an expression and once as a
 ``BivariateFunction(f, d2f)`` of numpy callables, at n = 8, 16 and 64 nodes
@@ -19,6 +20,7 @@ and the graded fallback or a non-convergence error are both acceptable; at
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,7 +61,8 @@ def _short(lo: float, hi: float, signed: bool = False):
 
 _factor = st.one_of(
     st.tuples(st.just("pow"),
-              st.sampled_from((0.0, 1.0, 1.05, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0))),
+              st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.05, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0,
+                               5.0))),
     st.tuples(st.just("exp"), _short(0.25, 2.5, signed=True)),
     st.tuples(st.sampled_from(("sin", "cos")), _short(0.5, 4.0), _short(0.0, 3.0)),
 )
@@ -102,17 +105,24 @@ def _alg(h, lo, hi, left_power, right_power) -> float:
     return v
 
 
-def _beta(p: float, q: float) -> float:
-    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+def _euler(a, b, c, z):
+    """int_0^1 v^(b-1) (1-v)^(c-b-1) (1 - z v)^(-a) dv = B(b, c-b) 2F1(a, b; c; z)."""
+    return mpmath.beta(b, c - b) * mpmath.hyp2f1(a, b, c, z)
 
 
 def _rl(g, order, side, lo, hi, at) -> float:
     """J^order of the factor g on [lo, hi] at ``at``, anchored at lo (left)
-    or hi (right).  t^m on an interval that starts at 0 has a closed form."""
-    if g[0] == "pow" and lo == 0.0 and side is Side.LEFT:
-        return at ** (order + g[1]) * math.gamma(g[1] + 1.0) / math.gamma(order + g[1] + 1.0)
-    if g[0] == "pow" and at == 0.0:
-        return hi ** (order + g[1]) / (math.gamma(order) * (order + g[1]))
+    or hi (right).  For t^m, t = at (1 - z v) (left) or hi (1 - z v) (right)
+    turns the integral into Euler's: quad loses digits to t^m when lo is
+    positive but tiny, as the draws' floats can be."""
+    if g[0] == "pow":
+        with mpmath.workdps(30):
+            m, o, lo, hi, at = map(mpmath.mpf, (g[1], order, lo, hi, at))
+            if side is Side.LEFT:
+                j = (at - lo) ** o * at**m * _euler(-m, o, o + 1, (at - lo) / at)
+            else:
+                j = (hi - at) ** o * hi**m * _euler(-m, 1, o + 1, (hi - at) / hi)
+            return float(j / mpmath.gamma(o))
     h = functools.partial(_value, g)
     if side is Side.LEFT:
         return _alg(h, lo, at, 0.0, order - 1.0) / math.gamma(order)
@@ -126,11 +136,17 @@ def _corner_pair(g, order, lo, hi) -> float:
 
 
 def _kernel(g, order, lo, hi) -> float:
-    """int_0^1 (t^order - (1-t)^order) g'(t lo + (1-t) hi) dt.  For t^m with
-    lo = 0, g' = m hi^(m-1) (1-t)^(m-1), a Beta integral."""
-    if g[0] == "pow" and lo == 0.0:
-        m = g[1]
-        return m * hi ** (m - 1.0) * (_beta(order + 1.0, m) - 1.0 / (order + m)) if m else 0.0
+    """int_0^1 (t^order - (1-t)^order) g'(t lo + (1-t) hi) dt.  For t^m,
+    g' = m hi^(m-1) (1 - z t)^(m-1) with z = (hi - lo) / hi: two Euler
+    integrals (a constant's is 0, where they diverge at z = 1)."""
+    if g == ("pow", 0.0):
+        return 0.0
+    if g[0] == "pow":
+        with mpmath.workdps(30):
+            m, o, lo, hi = map(mpmath.mpf, (g[1], order, lo, hi))
+            z = (hi - lo) / hi
+            return float(m * hi ** (m - 1) * (_euler(1 - m, o + 1, o + 2, z)
+                                              - _euler(1 - m, 1, o + 2, z)))
 
     def along(t):
         return _derivative(g, t * lo + (1.0 - t) * hi)
@@ -246,16 +262,20 @@ def test_the_gap_covers_a_first_order_rule(n):
 
 @pytest.mark.parametrize("m, order", [(0.0, 0.2), (3.0, 1.3), (5.0, 2.9)])
 def test_quad_matches_the_closed_forms(m, order):
-    # The references take t^m on an interval from 0 in closed form and use
-    # quad everywhere else; on smooth integrands the two agree to round-off,
-    # so a miss above is the library's, not the reference's.
+    # The references take t^m in closed form and use quad everywhere else;
+    # on smooth integrands the two agree to round-off, so a miss above is
+    # the library's, not the reference's.
     g, scale = ("pow", m), 1.0 / math.gamma(order)
+    for lo in (0.0, 0.4):
+        hi = lo + 1.7
 
-    def along(t):
-        return _derivative(g, (1.0 - t) * 1.7)
-    assert scale * _alg(lambda t: t**m, 0.0, 1.7, 0.0, order - 1.0) == pytest.approx(
-        _rl(g, order, Side.LEFT, 0.0, 1.7, 1.7), rel=2e-15, abs=0)
-    assert scale * _alg(lambda t: t**m, 0.0, 1.7, order - 1.0, 0.0) == pytest.approx(
-        _rl(g, order, Side.RIGHT, 0.0, 1.7, 0.0), rel=2e-15, abs=0)
-    assert _alg(along, 0.0, 1.0, order, 0.0) - _alg(along, 0.0, 1.0, 0.0, order) == pytest.approx(
-        _kernel(g, order, 0.0, 1.7), rel=2e-15, abs=1e-15)
+        def along(t):
+            return _derivative(g, t * lo + (1.0 - t) * hi)
+        for at in (lo + 0.6, hi):
+            assert scale * _alg(lambda t: t**m, lo, at, 0.0, order - 1.0) == pytest.approx(
+                _rl(g, order, Side.LEFT, lo, hi, at), rel=2e-15, abs=0)
+        for at in (lo, lo + 0.6):
+            assert scale * _alg(lambda t: t**m, at, hi, order - 1.0, 0.0) == pytest.approx(
+                _rl(g, order, Side.RIGHT, lo, hi, at), rel=2e-15, abs=0)
+        assert (_alg(along, 0.0, 1.0, order, 0.0) - _alg(along, 0.0, 1.0, 0.0, order)
+                == pytest.approx(_kernel(g, order, lo, hi), rel=2e-15, abs=1e-15))

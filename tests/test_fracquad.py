@@ -19,6 +19,7 @@ from hhfrac.fracquad import (
     frac_integral_2d,
     frac_integral_2d_with_estimate,
 )
+from hhfrac.quadrature import power_weighted_rule
 
 from oracles import brute_frac_2d
 
@@ -154,6 +155,36 @@ class Test1D:
             QuadratureSpec(nodes_per_axis=16),
         )
         assert abs(val - exact) <= 10.0 * est
+
+    def test_function_singular_at_the_far_end(self):
+        # J^2 of t^-0.5 at 1 is B(2, 1/2) = 4/3.  The graded nodes crowd
+        # toward t = 0, within eps of it from n = 128 on (level 256); each
+        # is formed from that end, so none lands on it and the error stays
+        # at round-off.
+        errors = []
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            value, error = frac_integral_1d_with_estimate(
+                lambda t: t**-0.5, 2.0, Side.LEFT, UNIT, 1.0, QuadratureSpec(nodes_per_axis=n))
+            assert abs(value - 4.0 / 3.0) <= error, n
+            errors.append(error)
+        assert max(errors[1:]) <= 2.0 * errors[1]
+
+
+class TestGradedPoints:
+    @pytest.mark.parametrize("order", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("near, far", [(1.0, 0.0), (0.0, 1.0), (2.7, 0.3), (0.3, 2.7)])
+    def test_each_point_is_formed_from_its_nearer_end(self, order, near, far):
+        u, c, w = power_weighted_rule(order, 512)
+        pts, weights = fracquad._graded_points(order, near, far, 512)
+        half = u <= 0.5
+        assert np.array_equal(pts[half], near + (far - near) * u[half])
+        assert np.array_equal(pts[~half], far - (far - near) * c[~half])
+        assert weights is w
+        lo, hi = min(near, far), max(near, far)
+        assert np.all((lo <= pts) & (pts <= hi))
+        if lo == 0.0:
+            # floats near 0 resolve any distance, so no point lands on it
+            assert np.all(pts > 0.0)
 
 
 class Test2D:

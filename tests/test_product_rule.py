@@ -300,7 +300,6 @@ class TestSweepSharesSamples:
 
         monkeypatch.setattr(fracquad, "_sample_2d", count_samples)
         monkeypatch.setattr(certify, "mixed_partial", count_partials)
-        monkeypatch.setattr(certify, "power_weighted_rule", no_graded_rule)
         monkeypatch.setattr(fracquad, "power_weighted_rule", no_graded_rule)
         out = _sweep(capsys, "--theorem", "lemma1", "--f", "builtin:expsum",
                      "--rect", "0", "1", "0", "1", "--nodes", "32", "--jobs", "1",

@@ -9,6 +9,8 @@ from scipy.special import eval_legendre
 from hhfrac.errors import QuadratureNonConvergenceError
 from hhfrac.fracquad import QuadratureSpec
 from hhfrac.quadrature import (
+    _FAR_END_GRADING,
+    _KERNEL_GRADING_BOOST,
     NONCONVERGENCE_FACTOR,
     error_floor,
     gauss_legendre_01,
@@ -62,7 +64,7 @@ class TestPowerWeightedRule:
                              ids=lambda order: f"gauss-{order}")
     def test_monomial_moments(self, order):
         # int_0^1 s^(order-1) * s^k ds = 1/(order+k)
-        u, w = power_weighted_rule(order, 64)
+        u, _, w = power_weighted_rule(order, 64)
         for k in range(4):
             got = float(np.dot(w, u**k))
             assert got == pytest.approx(1.0 / (order + k), rel=1e-8)
@@ -70,8 +72,24 @@ class TestPowerWeightedRule:
     def test_smooth_integrand(self):
         # int_0^1 s^(-0.5) exp(s) ds, reference by series: sum 1/(k! (k+0.5))
         ref = sum(1.0 / (math.factorial(k) * (k + 0.5)) for k in range(30))
-        u, w = power_weighted_rule(0.5, 48)
+        u, _, w = power_weighted_rule(0.5, 48)
         assert float(np.dot(w, np.exp(u))) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 257, 1024, 2048])
+    @pytest.mark.parametrize("order", [0.2, 0.5, 1.0, 1.5, 3.7])
+    def test_complement_keeps_the_distance_to_the_far_end(self, order, n):
+        # 1 - u falls far below eps at the last nodes (u rounds to 1 from
+        # n ~ 256 on); c keeps it, to a few ulp of the value that the same
+        # mirrored node 1 - r gives in extended precision.  u = v^p carries
+        # about p ulp of v's rounding.
+        u, c, _ = power_weighted_rule(order, n)
+        omr = gauss_legendre_01(n)[0][::-1]
+        m, p = _FAR_END_GRADING, _KERNEL_GRADING_BOOST * grading_exponent(order)
+        assert np.all(u <= 1.0) and np.all(c > 0.0)
+        assert np.all(np.abs(u - (1.0 - c)) <= (p + 1.0) * np.finfo(float).eps)
+        with mp.workdps(50):
+            exact = np.array([float(1 - (1 - mp.mpf(t) ** m) ** mp.mpf(p)) for t in omr])
+        assert np.all(np.abs(c - exact) <= 4 * np.spacing(exact))
 
 
 def test_error_floor_positive():
