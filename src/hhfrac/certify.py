@@ -72,7 +72,7 @@ from .fracquad import (
     gauss_grid_samples,
 )
 from .funcspace import BivariateFunction, mixed_partial
-from .hweights import HFamily, HWeight, h_eval, table_pieces
+from .hweights import HFamily, HWeight, _check_tol, h_eval, table_pieces
 from .quadrature import (
     gauss_legendre_01,
     product_weights,
@@ -424,6 +424,7 @@ def theorem4_chain(
     middle = 4 h(1/2)^2 * (the middle term),
     right  = h(1/2)^2 * alpha * beta * (corner sum) * M(h, alpha) * M(h, beta).
     """
+    _check_tol(abs_tol, "abs_tol")
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     corners, left = _corner_values(fv, rect)
@@ -508,6 +509,7 @@ def theorem5_bound(
     corners), K1(h, g) = M(h, g+1).  The kernel factorizes per axis, and the
     mirrored kernels of the b and d corners equal the plain ones (t -> 1-t).
     """
+    _check_tol(abs_tol, "abs_tol")
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     k1a, e_k1a = h_moment_m(h, order.alpha + 1.0)
@@ -533,6 +535,7 @@ def theorem6_bound(
     rhs = (b-a)(d-c) / ((alpha p + 1)(beta p + 1))^(1/p)
           * (U(h)^2 * sum over corners |D|^q)^(1/q),  U(h) = M(h, 1)/2.
     """
+    _check_tol(abs_tol, "abs_tol")
     rect.require_nonneg_origin()
     fv = _as_bivariate(f)
     m1, e_m1 = h_moment_m(h, 1.0)

@@ -50,7 +50,7 @@ from .fracquad import (
     frac_integral_2d_with_estimate,
 )
 from .funcspace import parse_function_spec, univariate_from_source
-from .hweights import MAX_GRID, check_coordinate_h_convex, parse_hweight
+from .hweights import MAX_GRID, _check_tol, check_coordinate_h_convex, parse_hweight
 
 SCHEMA_VERSION = 2
 
@@ -279,6 +279,7 @@ def _run_theorem(args, parse=parse_function_spec,
         h = parse_h(args.h) if args.h is not None else None
         pq = HolderExponents.from_p(float(args.p)) if args.theorem == "t6" else None
         abs_tol = float(args.abs_tol)
+        _check_tol(abs_tol, "--abs-tol")
         rect.require_nonneg_origin()
     except UsageError:
         raise
@@ -485,6 +486,8 @@ def _cmd_check(args) -> int:
         rect = _rect(args)
         f = parse_function_spec(args.f)
         h = parse_hweight(args.h)
+        if args.tol is not None:
+            _check_tol(float(args.tol), "--tol")
     except UsageError:
         raise
     except HHFracError as exc:

@@ -30,8 +30,9 @@ f(x, .) at grid abscissas (the partial-mapping form of coordinate convexity).
 When the largest section deficits, combined, stay within the tolerance after
 a rounding margin, the sweep could find no violation and the certificate is
 its pass; otherwise the sweep of every configuration runs and locates the
-witness.  Both run in blocks of a fixed byte size and the grid is at most
-:data:`MAX_GRID`, so memory stays bounded.
+witness.  One kernel forms every deficit of both, in blocks of a fixed byte
+size in one workspace per call, and the grid is at most :data:`MAX_GRID`, so
+memory stays bounded.  The concave check is the convex check of -f.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ def parse_hweight(text: str) -> HWeight:
 _BLOCK_BYTES = 1 << 18
 
 #: Largest ``grid`` the certifier accepts.  A few of its arrays hold
-#: O(grid^3) values, about 1 MB each at 64.  Its time grows as grid^5 for a
-#: pass the sections settle (about 0.5 s at 64 on 2 vCPUs) and as grid^6 for
+#: O(grid^3) values, 1-2 MB each at 64.  Its time grows as grid^5 for a
+#: pass the sections settle (about 0.9 s at 64 on 2 vCPUs) and as grid^6 for
 #: the sweep.
 MAX_GRID = 64
 
@@ -278,6 +279,17 @@ class ConvexityCertificate:
         return self.verdict == "pass"
 
 
+def _check_direction(direction: str) -> None:
+    if direction not in ("convex", "concave"):
+        raise DomainError(f"direction must be 'convex' or 'concave', got {direction!r}")
+
+
+def _check_tol(tol: float, name: str) -> None:
+    """Finite and >= 0: a NaN or infinite tolerance would pass any violation."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def inequality_deficit(f, h: HWeight, t: float, k: float,
                        p1: tuple[float, float], p2: tuple[float, float],
                        direction: str = "convex") -> float:
@@ -286,6 +298,7 @@ def inequality_deficit(f, h: HWeight, t: float, k: float,
     Positive values violate h-convexity (for ``direction="concave"`` the sign
     is flipped).  Scalar arithmetic throughout, independent of the sweep.
     """
+    _check_direction(direction)
     x, u = p1
     y, w = p2
     lhs = float(f(t * x + (1.0 - t) * y, k * u + (1.0 - k) * w))
@@ -339,7 +352,27 @@ def _lattice(lo: float, hi: float, grid_pts: np.ndarray, m: np.ndarray) -> np.nd
     return np.where(m % g1 == 0, grid_pts[m // g1], lo + (hi - lo) * (m / g1**2))
 
 
-def _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
+def _deficits(table, rows, ht, hmt, P1, P2, work):
+    """Blocks ``(j0, D)`` of D[j, p, c] = table[rows[j, p], c] - (ht[j] P1[p, c]
+    + hmt[j] P2[p, c]), j from j0, in the two rows of ``work``.  Every deficit
+    of the certifier is formed here, so the sections' d2 and the sweep agree
+    element by element.  ``P1.size`` must fit a row of ``work``.
+    """
+    jc = min(ht.size, max(1, work.shape[1] // P1.size))
+    for j0 in range(0, ht.size, jc):
+        js = slice(j0, j0 + jc)
+        shape = (len(ht[js]),) + P1.shape
+        n = math.prod(shape)
+        D = np.multiply(ht[js, None, None], P1, out=work[0, :n].reshape(shape))
+        L = np.multiply(hmt[js, None, None], P2, out=work[1, :n].reshape(shape))
+        D += L
+        # L now takes the left sides; every index is in range, and mode
+        # "raise" would buffer ``out`` on every call.
+        table.take(rows[js], axis=0, out=L, mode="clip")
+        yield j0, np.subtract(L, D, out=D)
+
+
+def _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
     """The tolerance of the pass the sweep would certify, if a bound settles
     it without the sweep; None when the bound cannot.
 
@@ -349,76 +382,53 @@ def _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction):
     in x of the section f(., v), and d2 = f(x_i, v) - G the deficit in y of
     f(x_i, .) against the sweep's ordinate half G of the right side.  As h >=
     0, every deficit is at most :func:`_section_bound` of the largest d1 and
-    d2; the concave direction negates both (Dragomir, Taiwanese J. Math. 5
-    (2001) 775-788, for the partial-mapping form of coordinate convexity).
+    d2 (Dragomir, Taiwanese J. Math. 5 (2001) 775-788, for the
+    partial-mapping form of coordinate convexity), both from :func:`_deficits`.
 
     The sections are evaluated at the sweep's own lattice abscissas ``ux``
     and ordinates ``uy``, so the table T = f(ux, v) holds exactly the sweep's
     left sides and max |f| over F and T is the sweep's.  The grid abscissas
     are lattice points too, rows ``gx`` of T, so f(x_i, v) is read from T;
     where f fails in T the sweep decides, and fails there as well.
-    The ordinates are walked in chunks within ``_BLOCK_BYTES``; a chunk takes
-    its d2 first, and the walk stops as soon as the bound exceeds the
-    tolerance, which only hands the case to the sweep.
+    The ordinates are walked in chunks within ``_BLOCK_BYTES``, each taking
+    its d1 and keeping f(x_i, v) for the d2 after the walk, which stops as soon
+    as the bound exceeds the tolerance: that only hands the case to the sweep.
     """
-    g, npair, nt = gx.size, i1.size, ht.size
-    IY = IX.ravel()  # the ordinates share the abscissas' lattice coordinates
-    # (k, ordinate pair) configurations, flat index k*npair + q, grouped by v.
-    by_v = np.argsort(IY, kind="stable")
-    v_start = np.searchsorted(IY[by_v], np.arange(uy.size + 1))
+    g, npair, size = gx.size, i1.size, work.shape[1]
     hsum = float((ht + hmt).max())
-    concave = direction == "concave"
-
-    size = max(1, _BLOCK_BYTES // 8)
     # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
     # evaluation holds a few temporaries of its size.
     nv = -(-uy.size // max(1, size // (2 * max(ux.size, npair))))
     vc = -(-uy.size // nv)
-    tc = min(nt, max(1, size // (npair * vc)))
-    sc = max(1, size // g)  # configurations per d2 block
-    buf_d, buf_l = np.empty((2, tc * npair * vc))
+    Fx = np.empty((uy.size, g))  # Fx[v, i] = f(x_i, v)
 
     max_abs_f = float(np.abs(F).max())
-    d1 = d2 = -math.inf
+    d = [-math.inf, -math.inf]  # the largest d1 and d2 so far
 
-    def exceeded(m):
+    def exceeded(i, D):
+        m = float(D.max())
+        d[i] = max(d[i], m)
         # NaN in m or in the bound lands here too.
-        bound = _section_bound(d1, d2, hsum, max_abs_f)
+        bound = _section_bound(d[0], d[1], hsum, max_abs_f)
         return not (math.isfinite(m) and bound <= _tolerance(tol, max_abs_f))
 
     for v0 in range(0, uy.size, vc):
-        vs = uy[v0:v0 + vc]
         try:
-            T = _sample_2d(f, ux, vs)
+            T = _sample_2d(f, ux, uy[v0:v0 + vc])
         except HHFracError:  # the sweep evaluates f again and raises there
             return None
         max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
-        Fx = T[gx]  # f(x_i, v)
-        for s0 in range(v_start[v0], v_start[v0 + vs.size], sc):
-            sel = by_v[s0:min(s0 + sc, v_start[v0 + vs.size])]
-            ks, qs = np.divmod(sel, npair)
-            # The sweep's G, element by element the same float operations.
-            G = ht[ks] * F[:, i1[qs]] + hmt[ks] * F[:, i2[qs]]
-            D = np.subtract(Fx[:, IY[sel] - v0], G, out=G)
-            m = -float(D.min()) if concave else float(D.max())
-            d2 = max(d2, m)
-            if exceeded(m):
-                return None
+        Fx[v0:v0 + vc] = T[gx].T
+        if any(exceeded(0, D) for _, D in _deficits(T, IX, ht, hmt, T[gx[i1]], T[gx[i2]], work)):
+            return None
 
-        A1, A2 = Fx[i1], Fx[i2]
-        for t0 in range(0, nt, tc):
-            ts = slice(t0, t0 + tc)
-            shape = (len(ht[ts]),) + A1.shape
-            n = math.prod(shape)
-            D = np.multiply(ht[ts, None, None], A1, out=buf_d[:n].reshape(shape))
-            L = np.multiply(hmt[ts, None, None], A2, out=buf_l[:n].reshape(shape))
-            D += L
-            T.take(IX[ts], axis=0, out=L, mode="clip")
-            np.subtract(L, D, out=D)
-            m = -float(D.min()) if concave else float(D.max())
-            d1 = max(d1, m)
-            if exceeded(m):
-                return None
+    # d2[k, q, i] = f(x_i, v_kq) - (h(k) F[i, u_q] + h(1-k) F[i, w_q])
+    qc = max(1, size // g)  # ordinate pairs per block
+    for q0 in range(0, npair, qc):
+        qs = slice(q0, q0 + qc)
+        if any(exceeded(1, D) for _, D in _deficits(Fx, IX[:, qs], ht, hmt,
+                                                    F.T[i1[qs]], F.T[i2[qs]], work)):
+            return None
     return _tolerance(tol, max_abs_f)
 
 
@@ -436,8 +446,10 @@ def check_coordinate_h_convex(
     the interior of (0, 1) for the convexity parameters t and k; t, k = 0, 1
     are spot-checked additionally for weight families finite there.  The
     default tolerance is ``1e-10 * (1 + max sampled |f|)``, pure rounding
-    headroom.  Requires f >= 0 on the sampled grid when asserting h-convexity
-    for a family other than the identity.
+    headroom; a given ``tol`` must be finite and >= 0.  Requires f >= 0 on
+    the sampled grid when asserting h-convexity for a family other than the
+    identity.  The concave check is the convex check of -f, which negation,
+    being exact, makes the same bit for bit.
 
     Only abscissa pairs x <= y and ordinate pairs u <= w (by grid index) are
     evaluated: the inequality is unchanged under (t, x, y) -> (1-t, y, x) and
@@ -458,13 +470,15 @@ def check_coordinate_h_convex(
     at ``len(t) * len(ux) * grid(grid+1)/2`` points, one table per k, and
     gathers each left side from it; its verdict, worst violation and witness
     are the certificate.
-    Both work in blocks of at most ``_BLOCK_BYTES`` per array and ``grid``
-    may not exceed :data:`MAX_GRID`, so memory stays bounded.
+    :func:`_deficits` forms every deficit of both in one workspace per call,
+    in blocks within ``_BLOCK_BYTES``, and ``grid`` is at most
+    :data:`MAX_GRID`, so memory stays bounded.
     """
     if not 3 <= grid <= MAX_GRID:
         raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
-    if direction not in ("convex", "concave"):
-        raise DomainError(f"direction must be 'convex' or 'concave', got {direction!r}")
+    _check_direction(direction)
+    if tol is not None:
+        _check_tol(tol, "tol")
     g = int(grid)
     xg = np.linspace(rect.a, rect.b, g)
     yg = np.linspace(rect.c, rect.d, g)
@@ -474,7 +488,10 @@ def check_coordinate_h_convex(
     tg = tj / (g - 1)  # correctly rounded, as the lattice below is exact
 
     F = _sample_2d(f, xg, yg)
-    if direction == "convex" and h.family is not HFamily.IDENTITY and F.min() < 0.0:
+    checked = f  # the function whose convex inequality is sampled
+    if direction == "concave":
+        F, checked = np.negative(F), (lambda x, y: np.negative(f(x, y)))
+    elif h.family is not HFamily.IDENTITY and F.min() < 0.0:
         i, j = np.unravel_index(int(np.argmin(F)), F.shape)
         raise DomainError(
             f"h-convexity requires f >= 0 on the rectangle; "
@@ -497,24 +514,21 @@ def check_coordinate_h_convex(
     IX = IX.reshape(nt, npair)
     ux, uy = _lattice(rect.a, rect.b, xg, um), _lattice(rect.c, rect.d, yg, um)
     samples = len(tg) ** 2 * g**4
+    # Two block rows for the whole call, else each block would be faulted
+    # in anew; a row holds at least one t of all pairs, at most every t.
+    size = max(npair, min(_BLOCK_BYTES // 8, nt * npair * max(ux.size, npair)))
+    work = np.empty((2, size))
     # A pass that the section bound settles needs no sweep.  The diagonal
     # pairs put every grid abscissa on the lattice, at m = (g-1)*i.
     gx = np.searchsorted(um, (g - 1) * np.arange(g))
-    settled_tol = _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, direction)
+    settled_tol = _section_test(checked, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work)
     if settled_tol is not None:
         return _pass_certificate(samples, settled_tol, g)
-    # The table is split into nq equal chunks of ordinate pairs that fit the
-    # budget; the blocks (t, abscissa pair, ordinate pair) of one k follow
-    # that split and then split the abscissa pairs and t.
-    size = max(1, _BLOCK_BYTES // 8)
-    nq = -(-npair // max(1, size // ux.size))
+    # The table of one k is split into nq equal chunks of ordinate pairs
+    # that fit the budget; the blocks (t, abscissa pair, ordinate pair) split t.
+    nq = -(-npair // max(1, size // max(ux.size, npair)))
     qc = -(-npair // nq)
-    pc = min(npair, max(1, size // qc))
-    tc = min(nt, max(1, size // (pc * qc)))
 
-    # Two block buffers for the whole sweep: fresh block-sized arrays would
-    # go back to the system after every block and be faulted in again.
-    buf_d, buf_l = np.empty((2, tc * pc * qc))
     max_abs_f = float(np.abs(F).max())
     worst = -math.inf
     worst_idx = None
@@ -524,36 +538,19 @@ def check_coordinate_h_convex(
         G = ht[k] * F[:, i1] + hmt[k] * F[:, i2]
         for q0 in range(0, npair, qc):
             qs = slice(q0, q0 + qc)
-            Yq = uy[IX[k, qs]]
-            Lk = _sample_2d(f, ux, Yq, "function value at a combination point")
+            Lk = _sample_2d(checked, ux, uy[IX[k, qs]], "function value at a combination point")
             max_abs_f = max(max_abs_f, -float(Lk.min()), float(Lk.max()))
-            for p0 in range(0, npair, pc):
-                ps = slice(p0, p0 + pc)
-                G1, G2 = G[i1[ps], qs], G[i2[ps], qs]
-                for t0 in range(0, nt, tc):
-                    ts = slice(t0, t0 + tc)
-                    shape = (len(ht[ts]),) + G1.shape
-                    n = math.prod(shape)
-                    D = np.multiply(ht[ts, None, None], G1, out=buf_d[:n].reshape(shape))
-                    L = np.multiply(hmt[ts, None, None], G2, out=buf_l[:n].reshape(shape))
-                    D += L
-                    # L now takes the left sides; every index is in range,
-                    # and mode "raise" would buffer ``out`` on every call.
-                    Lk.take(IX[ts, ps], axis=0, out=L, mode="clip")
-                    if direction == "concave":
-                        np.subtract(D, L, out=D)
-                    else:
-                        np.subtract(L, D, out=D)
-                    m = float(D.max())
-                    # Ties go to the first configuration in (t, k, pair,
-                    # pair) order, so the witness does not depend on blocks;
-                    # (t0, k, p0, q0) is the first of this block.
-                    if (worst_idx is None or m > worst
-                            or (m == worst and (t0, k, p0, q0) < worst_idx)):
-                        it, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
-                        idx = (t0 + int(it), k, p0 + int(ip), q0 + int(iq))
-                        if worst_idx is None or m > worst or idx < worst_idx:
-                            worst, worst_idx = m, idx
+            for t0, D in _deficits(Lk, IX, ht, hmt, G[i1, qs], G[i2, qs], work):
+                m = float(D.max())
+                # Ties go to the first configuration in (t, k, pair, pair)
+                # order, so the witness does not depend on blocks;
+                # (t0, k, 0, q0) is the first of this block.
+                if (worst_idx is None or m > worst
+                        or (m == worst and (t0, k, 0, q0) < worst_idx)):
+                    it, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
+                    idx = (t0 + int(it), k, int(ip), q0 + int(iq))
+                    if worst_idx is None or m > worst or idx < worst_idx:
+                        worst, worst_idx = m, idx
 
     tol = _tolerance(tol, max_abs_f)
     if worst <= tol:
@@ -561,8 +558,8 @@ def check_coordinate_h_convex(
     it, ik, p, q = worst_idx
     witness = (float(tg[it]), float(tg[ik]),
                (float(xg[i1[p]]), float(yg[i1[q]])), (float(xg[i2[p]]), float(yg[i2[q]])))
-    recheck = inequality_deficit(f, h, witness[0], witness[1], witness[2], witness[3],
-                                 direction)
+    # The witness's deficit, recomputed in scalars from f itself.
+    recheck = inequality_deficit(f, h, *witness, direction)
     return ConvexityCertificate(
         verdict="fail", samples_checked=samples, worst_violation=worst,
         tol=tol, grid=g,

@@ -645,3 +645,33 @@ class TestOneSampler:
         point = f"not finite at (x={float(px)!r}, y={float(py)!r})"
         with pytest.raises(EvaluationError, match=re.escape(f"{what} {point}")):
             call()
+
+
+class TestUnusableTolerance:
+    """An abs_tol that is NaN, infinite or negative cannot decide a verdict:
+    inf would let a real violation pass."""
+
+    @pytest.mark.parametrize("abs_tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("theorem", ["t1", "t4", "t5", "t6"])
+    def test_raises_before_sampling(self, theorem, abs_tol):
+        calls = []
+
+        def record(fn):
+            def sampled(x, y):
+                calls.append(x)
+                return fn(x, y)
+            return sampled
+
+        f = BivariateFunction(record(lambda x, y: x * y),
+                              record(lambda x, y: np.ones_like(x * y)))
+        h, order = HWeight.identity(), FracOrder(1.0, 1.0)
+        run = {
+            "t1": lambda: theorem1_chain(f, order, UNIT_SQ, abs_tol=abs_tol),
+            "t4": lambda: theorem4_chain(f, h, order, UNIT_SQ, abs_tol=abs_tol),
+            "t5": lambda: theorem5_bound(f, h, order, UNIT_SQ, abs_tol=abs_tol),
+            "t6": lambda: theorem6_bound(f, h, order, UNIT_SQ, HolderExponents.from_p(2.0),
+                                         abs_tol=abs_tol),
+        }
+        with pytest.raises(DomainError, match="abs_tol must be finite and >= 0"):
+            run[theorem]()
+        assert calls == []

@@ -159,6 +159,15 @@ class TestVerifyCommand:
                                "--alpha", "1", "--beta", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_unusable_abs_tol_is_usage_error(self, capsys, value):
+        argv = ["verify", "--theorem", "t1", "--f", "10 - x^2 - y^2",
+                "--rect", "0", "1", "0", "1", "--alpha", "1", "--beta", "1"]
+        assert run_cli(capsys, *argv)[0] == 1  # a real violation
+        code, out, err = run_cli(capsys, *argv, "--abs-tol", value)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --abs-tol must be finite and >= 0")
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -237,6 +246,15 @@ class TestCheckHConvexCommand:
         )
         assert code == 2 and "--grid" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_unusable_tol_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "check-hconvex", "--f", "x*y", "--h", "identity",
+            "--rect", "0", "1", "0", "1", "--tol", value,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --tol must be finite and >= 0")
+
     def test_huge_grid_is_usage_error_in_bounded_memory(self, capsys):
         tracemalloc.start()
         try:
@@ -289,6 +307,12 @@ class TestSweepCommand:
         rep = json.loads(out1.read_text())
         assert rep["config"]["axes"]["alpha"] == [0.5, 1, 2]
         assert rep["config"]["jobs"] == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_unusable_abs_tol_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, *self.BASE, "--abs-tol", value)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --abs-tol must be finite and >= 0")
 
     def test_empty_axis_list_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -257,6 +258,25 @@ class TestCertifier:
         ora = coordinate_convex_deficit(lambda x, y: x * x + y * y, 0.3, 0.7,
                                         0.2, 0.9, 0.8, 0.1)
         assert lib == pytest.approx(ora, rel=1e-12, abs=1e-15)
+
+    def test_inequality_deficit_rejects_an_unknown_direction(self):
+        args = (0.3, 0.7, (0.2, 0.9), (0.8, 0.1))
+        with pytest.raises(DomainError, match="direction must be 'convex' or 'concave'"):
+            inequality_deficit(builtin_function("quadratic"), HWeight.identity(), *args,
+                               "concav")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_unusable_tolerance_raises_before_sampling(self, tol):
+        # inf would pass every violation, nan fail by "0.000000e+00 (tol nan)"
+        calls = []
+
+        def f(x, y):
+            calls.append(x)
+            return x * y
+
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5, tol=tol)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +722,27 @@ class TestLattice:
                                        HWeight.identity(), rect, g, direction)
             assert rect.a <= xs.min() and xs.max() <= rect.b
             assert rect.c <= ys.min() and ys.max() <= rect.d
+
+
+class TestConcaveIsConvexOfNegation:
+    """The concave check on f is the convex check on -f, which is how the
+    certifier runs it: negation is exact, so every field agrees."""
+
+    @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
+    @pytest.mark.parametrize("g", [5, 9, 17, 21])
+    def test_field_by_field(self, rect, g):
+        verdicts = set()
+        for src in ("exp(x+y)", "0-x^2-y^2", "x*y", "2+sin(5*x*y)"):
+            f = parse_function_spec(src)
+            concave = check_coordinate_h_convex(f, HWeight.identity(), rect, grid=g,
+                                                direction="concave")
+            convex = check_coordinate_h_convex(lambda x, y: -f(x, y), HWeight.identity(),
+                                               rect, grid=g)
+            for field in dataclasses.fields(ConvexityCertificate):
+                assert getattr(concave, field.name) == getattr(convex, field.name), \
+                    (src, field.name)
+            verdicts.add(concave.verdict)
+        assert verdicts == {"pass", "fail"}
 
 
 class TestGoldenCertificates:
