@@ -107,8 +107,8 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
+    if isinstance(v, (float, list, tuple)):
+        return _emit_json_value(v)
     return str(v)
 
 
@@ -141,21 +141,31 @@ def _emit_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(report: dict, fmt: str, output: str | None,
-                  csv_columns=None, csv_rows=None) -> None:
-    if fmt == "json":
+def _write_report(args, status: str, config: dict, body: dict, columns, rows) -> int:
+    """Write one command's report and return its exit code, 0 iff ``status``
+    is "pass".
+
+    JSON and text give the envelope ``schema_version, command, status,
+    config`` followed by ``body``; CSV gives ``rows`` under ``columns``.  The
+    report goes to ``--output`` or stdout in ``--format``.
+    """
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+              "status": status, "config": config, **body}
+    if args.format == "json":
         text = _emit_json(report)
-    elif fmt == "csv":
-        if csv_columns is None:
-            raise UsageError("csv output is not available for this command")
-        text = _emit_csv(csv_columns, csv_rows)
+    elif args.format == "csv":
+        text = _emit_csv(columns, rows)
     else:
         text = _emit_text(report)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--output: cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
+    return 0 if status == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +222,21 @@ def _load_config_overrides(args: argparse.Namespace) -> None:
 
 
 def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(nodes_per_axis=int(args.nodes),
-                          target_rel_tol=float(args.rel_tol))
+    try:
+        return QuadratureSpec(nodes_per_axis=int(args.nodes),
+                              target_rel_tol=float(args.rel_tol))
+    except HHFracError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _rect(args) -> Rectangle:
     return Rectangle.from_bounds(*(float(v) for v in args.rect))
 
 
-def _status_exit(status: str) -> int:
-    return 0 if status == "pass" else 1
+def _fields(source, names) -> dict:
+    """``{name: source.name}`` in the order of ``names``: a config echo over
+    argparse's converted values, or a result over a report's fields."""
+    return {name: getattr(source, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +271,6 @@ def _check_theorem_consistency(args) -> None:
 #: argparse has already converted each value, also from ``--config``.
 _THEOREM_CONFIG = ("theorem", "f", "rect", "alpha", "beta", "h", "p",
                    "nodes", "rel_tol", "abs_tol", "format")
-
-
-def _theorem_config(args) -> dict:
-    return {name: getattr(args, name) for name in _THEOREM_CONFIG}
 
 
 def _run_theorem(args, parse=parse_function_spec,
@@ -320,21 +331,11 @@ def _cmd_verify(args) -> int:
         if getattr(args, required) is None:
             raise UsageError(f"--{required.replace('_', '-')} is required")
     _check_theorem_consistency(args)
-    config = _theorem_config(args)
+    config = _fields(args, _THEOREM_CONFIG)
     status, result, error = _outcome(args)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "status": status,
-        "config": config,
-        "result": result,
-    }
-    if error:
-        report["error"] = error
-    row = _sweep_row_from(config, result, error)
-    _write_report(report, args.format, args.output,
-                  csv_columns=SWEEP_COLUMNS, csv_rows=[row])
-    return _status_exit(status)
+    body = {"result": result, "error": error} if error else {"result": result}
+    return _write_report(args, status, config, body,
+                         SWEEP_COLUMNS, [_sweep_row_from(config, result, error)])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +410,7 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"--{required} is required")
     axes = _parse_axes(args.axis)
     axis_names = [name for name, _ in axes]
-    base = _theorem_config(args)
+    base = _fields(args, _THEOREM_CONFIG)
 
     rows = math.prod(len(vals) for _, vals in axes)
     if rows > MAX_SWEEP_ROWS:
@@ -434,10 +435,7 @@ def _cmd_sweep(args) -> int:
     jobs = int(args.jobs)
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        _quad_spec(argparse.Namespace(**base))
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
+    _quad_spec(argparse.Namespace(**base))
 
     # Each distinct f and h text is parsed once, so every row reuses the
     # samples cached on f, a row with the previous row's alpha reuses its
@@ -455,22 +453,20 @@ def _cmd_sweep(args) -> int:
     config = dict(base)
     config["axes"] = {name: vals for name, vals in axes}
     config["jobs"] = jobs
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "status": "pass",
-        "config": config,
-        "rows": rows,
-    }
-    _write_report(report, args.format, args.output,
-                  csv_columns=SWEEP_COLUMNS, csv_rows=rows)
-    return 0
+    return _write_report(args, "pass", config, {"rows": rows}, SWEEP_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
 # check-hconvex
 # ---------------------------------------------------------------------------
 
+#: The flags that ``check-hconvex`` echoes as its config, in order; ``tol``
+#: is the one the certificate used.
+_CHECK_CONFIG = ("f", "h", "rect", "grid", "tol", "direction", "format")
+#: The ``ConvexityCertificate`` fields of its result, in order, and the CSV
+#: columns among them.
+_CHECK_RESULT = ("verdict", "samples_checked", "worst_violation", "tol",
+                 "witness", "witness_deficit", "message")
 _CHECK_COLUMNS = ("verdict", "samples_checked", "worst_violation", "tol",
                   "witness", "message")
 
@@ -480,58 +476,40 @@ def _cmd_check(args) -> int:
     for required in ("f", "h", "rect"):
         if getattr(args, required) is None:
             raise UsageError(f"--{required} is required")
-    if not 3 <= int(args.grid) <= MAX_GRID:
+    if not 3 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must lie in [3, {MAX_GRID}], got {args.grid}")
     try:
         rect = _rect(args)
         f = parse_function_spec(args.f)
         h = parse_hweight(args.h)
         if args.tol is not None:
-            _check_tol(float(args.tol), "--tol")
+            _check_tol(args.tol, "--tol")
     except UsageError:
         raise
     except HHFracError as exc:
         raise UsageError(str(exc)) from exc
-    cert = check_coordinate_h_convex(
-        f, h, rect, grid=int(args.grid),
-        tol=None if args.tol is None else float(args.tol),
-        direction="concave" if args.concave else "convex",
-    )
-    config = {
-        "f": args.f, "h": args.h, "rect": [float(v) for v in args.rect],
-        "grid": int(args.grid), "tol": cert.tol,
-        "direction": "concave" if args.concave else "convex",
-        "format": args.format,
-    }
-    result = {
-        "verdict": cert.verdict,
-        "samples_checked": cert.samples_checked,
-        "worst_violation": cert.worst_violation,
-        "tol": cert.tol,
-        "witness": None if cert.witness is None else [
-            cert.witness[0], cert.witness[1],
-            list(cert.witness[2]), list(cert.witness[3]),
-        ],
-        "witness_deficit": cert.witness_deficit,
-        "message": cert.message,
-    }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check-hconvex",
-        "status": cert.verdict,
-        "config": config,
-        "result": result,
-    }
-    row = dict(result)
-    row["witness"] = "" if cert.witness is None else _emit_json_value(result["witness"])
-    _write_report(report, args.format, args.output,
-                  csv_columns=_CHECK_COLUMNS, csv_rows=[row])
-    return _status_exit(cert.verdict)
+    args.direction = "concave" if args.concave else "convex"
+    cert = check_coordinate_h_convex(f, h, rect, grid=args.grid, tol=args.tol,
+                                     direction=args.direction)
+    config = _fields(args, _CHECK_CONFIG)
+    config["tol"] = cert.tol
+    result = _fields(cert, _CHECK_RESULT)
+    if cert.witness is not None:
+        t, k, xu, yw = cert.witness
+        result["witness"] = [t, k, list(xu), list(yw)]
+    return _write_report(args, cert.verdict, config, {"result": result},
+                         _CHECK_COLUMNS, [result])
 
 
 # ---------------------------------------------------------------------------
 # frac-integrate
 # ---------------------------------------------------------------------------
+
+#: The flags that ``frac-integrate`` echoes as its config, in order, for one
+#: variable (``--f1``) and for two (``--f``).
+_FRAC_1D_CONFIG = ("f1", "alpha", "side", "interval", "at", "nodes", "rel_tol", "format")
+_FRAC_2D_CONFIG = ("f", "alpha", "beta", "corner", "rect", "at", "nodes", "rel_tol", "format")
+
 
 def _cmd_frac(args) -> int:
     _apply_defaults(args, {**_QUAD_DEFAULTS, "format": "text"})
@@ -539,72 +517,38 @@ def _cmd_frac(args) -> int:
         raise UsageError("give exactly one of --f1 (one variable) or --f (two variables)")
     if args.alpha is None:
         raise UsageError("--alpha is required")
-    try:
-        spec = _quad_spec(args)
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.f1 is not None:
-        for required in ("side", "interval", "at"):
-            if getattr(args, required) is None:
-                raise UsageError(f"--{required} is required for a 1d integral")
-        if len(args.at) != 1:
-            raise UsageError("--at takes one value for a 1d integral")
-        try:
-            f = univariate_from_source(args.f1)
-            interval = Interval(float(args.interval[0]), float(args.interval[1]))
-            side = Side(args.side)
-        except (HHFracError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-        try:
-            value, est = frac_integral_1d_with_estimate(
-                f, float(args.alpha), side, interval, float(args.at[0]), spec
-            )
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        config = {
-            "f1": args.f1, "alpha": float(args.alpha), "side": args.side,
-            "interval": [interval.lo, interval.hi], "at": float(args.at[0]),
-            "nodes": int(args.nodes), "rel_tol": float(args.rel_tol),
-            "format": args.format,
-        }
+    spec = _quad_spec(args)
+    one_d = args.f1 is not None
+    if one_d:
+        kind, required, at_count = "1d", ("side", "interval", "at"), "one value"
     else:
-        for required in ("beta", "corner", "rect", "at"):
-            if getattr(args, required) is None:
-                raise UsageError(f"--{required} is required for a 2d integral")
-        if len(args.at) != 2:
-            raise UsageError("--at takes two values for a 2d integral")
-        try:
+        kind, required, at_count = "2d", ("beta", "corner", "rect", "at"), "two values"
+    for name in required:
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name} is required for a {kind} integral")
+    if len(args.at) != (1 if one_d else 2):
+        raise UsageError(f"--at takes {at_count} for a {kind} integral")
+    # Both integrals take (f, order, side or corner, domain, at, spec).
+    try:
+        if one_d:
+            f = univariate_from_source(args.f1)
+            domain, where = Interval(*args.interval), Side(args.side)
+            integrate, order, at = frac_integral_1d_with_estimate, args.alpha, args.at[0]
+        else:
             f = parse_function_spec(args.f)
-            rect = _rect(args)
-            order = FracOrder(float(args.alpha), float(args.beta))
-            corner = Corner(args.corner)
-        except (HHFracError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-        try:
-            value, est = frac_integral_2d_with_estimate(
-                f, order, corner, rect,
-                (float(args.at[0]), float(args.at[1])), spec,
-            )
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        config = {
-            "f": args.f, "alpha": float(args.alpha), "beta": float(args.beta),
-            "corner": args.corner, "rect": [float(v) for v in args.rect],
-            "at": [float(args.at[0]), float(args.at[1])],
-            "nodes": int(args.nodes), "rel_tol": float(args.rel_tol),
-            "format": args.format,
-        }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frac-integrate",
-        "status": "pass",
-        "config": config,
-        "result": {"value": value, "error_estimate": est},
-    }
-    _write_report(report, args.format, args.output,
-                  csv_columns=("value", "error_estimate"),
-                  csv_rows=[{"value": value, "error_estimate": est}])
-    return 0
+            domain, order = _rect(args), FracOrder(args.alpha, args.beta)
+            where, at = Corner(args.corner), tuple(args.at)
+            integrate = frac_integral_2d_with_estimate
+    except (HHFracError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+    try:
+        value, est = integrate(f, order, where, domain, at, spec)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+    result = {"value": value, "error_estimate": est}
+    config = _fields(args, _FRAC_1D_CONFIG if one_d else _FRAC_2D_CONFIG)
+    config["at"] = at
+    return _write_report(args, "pass", config, {"result": result}, tuple(result), [result])
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ class QuadratureSpec:
                               f"got {self.nodes_per_axis}")
         if not self.target_rel_tol > 0.0:
             raise DomainError(f"target_rel_tol must be positive, got {self.target_rel_tol}")
+        if self.target_rel_tol == math.inf:
+            raise DomainError("target_rel_tol must be finite, got inf")
 
 
 _DEFAULT_SPEC = QuadratureSpec()

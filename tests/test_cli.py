@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,10 +461,19 @@ GOLDEN_REPORTS = [
                           "--axis", "s=0.5,1", "--axis", "alpha=0.5,2")),
     ("check_hconvex.json", 1, ("check-hconvex", "--f", "exp(x+y)", "--h", "identity",
                                "--rect", "0", "1", "0", "1", "--concave", "--grid", "9")),
+    ("check_hconvex_pass.json", 0, ("check-hconvex", "--f", "x*y", "--h", "identity",
+                                    "--rect", "0", "1", "0", "1", "--grid", "9")),
     ("frac_integrate.json", 0, ("frac-integrate", "--f", GOLDEN_F, "--alpha", "0.5",
                                 "--beta", "1.5", "--corner", "b-d-", "--rect", "0", "1", "0", "1",
                                 "--at", "0.25", "0.5")),
+    ("frac_integrate_1d.json", 0, ("frac-integrate", "--f1", "t", "--alpha", "0.5",
+                                   "--side", "left", "--interval", "0", "1", "--at", "1")),
 ]
+
+#: Text and CSV goldens, each from the run of the JSON golden of its stem.
+GOLDEN_TEXT_CSV = [f"{stem}.{ext}" for stem in (
+    "verify_t4", "verify_t5_error", "check_hconvex", "check_hconvex_pass",
+    "frac_integrate", "frac_integrate_1d") for ext in ("txt", "csv")]
 
 
 class TestGoldenReports:
@@ -474,6 +484,15 @@ class TestGoldenReports:
         code, _, err = run_cli(capsys, *argv, "--format", "json", "--output", str(out))
         assert code == exit_code, err
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", GOLDEN_TEXT_CSV)
+    def test_text_and_csv_are_byte_identical(self, capsys, name):
+        stem, ext = name.rsplit(".", 1)
+        exit_code, argv = next((code, argv) for json_name, code, argv in GOLDEN_REPORTS
+                               if json_name == f"{stem}.json")
+        code, out, err = run_cli(capsys, *argv, "--format", "text" if ext == "txt" else ext)
+        assert (code, err) == (exit_code, "")
+        assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestArgparseContract:
@@ -569,6 +588,40 @@ class TestArgparseContract:
         joined = run_json(capsys, *argv, "--f=-x*y+3")
         assert joined[0] == 0 and joined[1]["config"]["f"] == "-x*y+3"
         assert run_json(capsys, *argv, "--config", str(cfg)) == joined
+
+
+class TestEveryCommand:
+    #: A small passing run of each command.
+    RUNS = {
+        "verify": ("verify", "--theorem", "t1", "--f", "x*y", "--rect", "0", "1", "0", "1",
+                   "--alpha", "1", "--beta", "1"),
+        "sweep": ("sweep", "--theorem", "t1", "--f", "x*y", "--rect", "0", "1", "0", "1",
+                  "--beta", "1", "--axis", "alpha=1,2"),
+        "frac-integrate": ("frac-integrate", "--f1", "t", "--alpha", "0.5", "--side", "left",
+                           "--interval", "0", "1", "--at", "1"),
+        "check-hconvex": ("check-hconvex", "--f", "x*y", "--h", "identity",
+                          "--rect", "0", "1", "0", "1", "--grid", "5"),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "frac-integrate"])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_infinite_rel_tol_is_usage_error(self, capsys, tmp_path, command, from_config):
+        # An infinite tolerance would switch off the graded fallback and the
+        # nonconvergence error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rel_tol": math.inf}))
+        extra = ("--config", str(cfg)) if from_config else ("--rel-tol", "inf")
+        code, out, err = run_cli(capsys, *self.RUNS[command], *extra)
+        assert (code, out) == (2, "")
+        assert err == "usage error: target_rel_tol must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, *self.RUNS[command], "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: --output: cannot write {path}: ")
+        assert not path.parent.exists()
 
 
 class TestTableFileErrors:

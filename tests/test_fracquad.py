@@ -54,8 +54,9 @@ class TestDomainTypes:
     def test_quadrature_spec(self):
         with pytest.raises(DomainError):
             QuadratureSpec(nodes_per_axis=1)
-        with pytest.raises(DomainError):
-            QuadratureSpec(target_rel_tol=0.0)
+        for rel_tol in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                QuadratureSpec(target_rel_tol=rel_tol)
 
     def test_corner_sides(self):
         assert Corner.LOWER_LOWER.x_side is Side.LEFT
