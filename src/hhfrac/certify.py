@@ -67,6 +67,7 @@ from .fracquad import (
     Interval,
     QuadratureSpec,
     Rectangle,
+    _form,
     _graded_points,
     _sample_2d,
     gauss_grid_samples,
@@ -270,9 +271,30 @@ def _folded_rule(order: float, interval: Interval, n: int,
     return np.concatenate((xs_hi, xs_lo)), np.concatenate((w, sign * w))
 
 
-def _folded_form(wx: np.ndarray, g: np.ndarray, wy: np.ndarray) -> tuple[float, float]:
-    """``wx^T g wy`` and the summed magnitude ``|wx|^T |g| |wy|`` of its terms."""
-    return float(wx @ g @ wy), float(np.abs(wx) @ np.abs(g) @ np.abs(wy))
+def _folded_integral(fv: BivariateFunction, rect: Rectangle, orders: tuple[float, float],
+                     parity: int, scale: float, spec: QuadratureSpec,
+                     what: str) -> tuple[float, float]:
+    """``scale * w_x^T G w_y`` over the folded kernels ``xi^(o-1) + (-1)^parity
+    (1-xi)^(o-1)`` of ``orders``, with G = f for parity 0 and d^2f/dxdy for 1.
+
+    The product rule runs on the cached Gauss-Legendre grid of G, the graded
+    rule on :func:`_folded_rule` with sign ``(-1)^parity``.  Its 1/4 is the
+    product weights' 1/2 per axis; for parity 1 its kernel is the product
+    rule's negated on each axis, and the two signs cancel.
+    """
+    sign = -1.0 if parity else 1.0
+
+    def product(n):
+        grid = _d_grid(fv, rect, n) if parity else _f_grid(fv, rect, n)[0]
+        v, m = grid.bilinear_form((orders[0], parity), (orders[1], parity))
+        return scale * v, scale * m
+
+    def graded(n):
+        xs, wx = _folded_rule(orders[0], rect.x, n, sign)
+        ys, wy = _folded_rule(orders[1], rect.y, n, sign)
+        g = _d2f_samples(fv, xs, ys) if parity else _sample_2d(fv, xs, ys)
+        return _form(wx, g, wy, 0.25 * scale)
+    return two_level(product, spec, what, graded)
 
 
 def middle_fractional_term_with_estimate(
@@ -284,21 +306,8 @@ def middle_fractional_term_with_estimate(
     evaluated at the opposite corner.
     """
     rect.require_nonneg_origin()
-    fv = _as_bivariate(f)
-    ab = order.alpha * order.beta
-
-    def product(n):
-        v, m = _f_grid(fv, rect, n)[0].bilinear_form((order.alpha, 0), (order.beta, 0))
-        return ab * v, ab * m
-
-    def graded(n):
-        # The four corner integrals, each scaled by Gamma(order + 1) / span^order.
-        xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
-        ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
-        v, m = _folded_form(wx, _sample_2d(fv, xs, ys), wy)
-        return 0.25 * ab * v, 0.25 * ab * m
-    return two_level(product, spec, "product-rule middle term",
-                     lambda: two_level(graded, spec, "middle term"))
+    return _folded_integral(_as_bivariate(f), rect, (order.alpha, order.beta), 0,
+                            order.alpha * order.beta, spec, "middle term")
 
 
 def a_term_with_estimate(
@@ -322,12 +331,10 @@ def a_term_with_estimate(
         xs, wx = _folded_rule(order.alpha, rect.x, n, 1.0)
         ys, wy = _folded_rule(order.beta, rect.y, n, 1.0)
         both = np.ones(2)
-        vy, my = _folded_form(both, _sample_2d(fv, np.array([rect.a, rect.b]), ys), wy)
-        vx, mx = _folded_form(wx, _sample_2d(fv, xs, np.array([rect.c, rect.d])), both)
-        return (0.25 * (order.beta * vy + order.alpha * vx),
-                0.25 * (order.beta * my + order.alpha * mx))
-    return two_level(product, spec, "product-rule A term",
-                     lambda: two_level(graded, spec, "A term"))
+        vy, my = _form(both, _sample_2d(fv, np.array([rect.a, rect.b]), ys), wy, order.beta)
+        vx, mx = _form(wx, _sample_2d(fv, xs, np.array([rect.c, rect.d])), both, order.alpha)
+        return 0.25 * (vy + vx), 0.25 * (my + mx)
+    return two_level(product, spec, "A term", graded)
 
 
 # ---------------------------------------------------------------------------
@@ -563,23 +570,10 @@ def _folded_derivative_integral(
     """((b-a)(d-c)/4) * int int (t^a - (1-t)^a)(k^b - (1-k)^b) D(x(t), y(k)),
     x(t) = t a + (1-t) b and y(k) = k c + (1-k) d.
 
-    The product rule on the cached Gauss-Legendre grid of D is tried first.
-    The fallback folds each kernel onto t^alpha (k^beta), since
-    int_0^1 (t^a - (1-t)^a) g(t) dt = int_0^1 t^a (g(t) - g(1-t)) dt.
+    Each kernel is the odd folded kernel of order + 1 of :func:`_folded_integral`.
     """
-    def product(n):
-        area = rect.x.width * rect.y.width
-        v, m = _d_grid(fv, rect, n).bilinear_form((order.alpha + 1.0, 1), (order.beta + 1.0, 1))
-        return area * v, area * m
-
-    def graded(n):
-        xs, wx = _folded_rule(order.alpha + 1.0, rect.x, n, -1.0)
-        ys, wy = _folded_rule(order.beta + 1.0, rect.y, n, -1.0)
-        v, m = _folded_form(wx, _d2f_samples(fv, xs, ys), wy)
-        scale = 0.25 * rect.x.width * rect.y.width
-        return scale * v, scale * m
-    return two_level(product, spec, "product-rule derivative-kernel integral",
-                     lambda: two_level(graded, spec, "derivative-kernel integral"))
+    return _folded_integral(fv, rect, (order.alpha + 1.0, order.beta + 1.0), 1,
+                            rect.x.width * rect.y.width, spec, "derivative-kernel integral")
 
 
 def lemma1_residual(

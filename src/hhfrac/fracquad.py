@@ -185,25 +185,11 @@ _DEFAULT_SPEC = QuadratureSpec()
 _BLOCK_POINTS = 1 << 15
 
 
-def _sample_1d(f: Callable, ts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(float(t))) for t in ts])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(f"function value not finite at t={float(ts[i])!r}")
-    return vals
-
-
 def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray,
                what: str = "function value") -> np.ndarray:
     """f (a ``BivariateFunction`` or plain callable) on the grid xs x ys, in
-    blocks of whole rows: the one place where f or its mixed partial meets
-    points.  A result that broadcasts to a block (f of one variable gives
+    blocks of whole rows: the one place where f, its mixed partial or a
+    one-variable integrand (on ys = [0]) meets points.  A result that broadcasts to a block (f of one variable gives
     (k, 1) or (1, n)) is expanded, so sums run in the same order as for any
     f; a callable that rejects arrays is called per point.  A value that is
     not finite raises :class:`EvaluationError` naming ``what`` and the point."""
@@ -245,6 +231,12 @@ def gauss_grid_samples(f, rect: Rectangle, n: int
     return (_sample_2d(f, xs, ys),
             _sample_2d(f, np.array([rect.a, rect.b]), ys),
             _sample_2d(f, xs, np.array([rect.c, rect.d])))
+
+
+def _form(wx: np.ndarray, g: np.ndarray, wy: np.ndarray, scale: float) -> tuple[float, float]:
+    """``scale * wx^T g wy`` and the summed magnitude ``scale * |wx|^T |g| |wy|``
+    of its terms: the value and magnitude of every two-variable rule on samples."""
+    return scale * float(wx @ g @ wy), scale * float(np.abs(wx) @ np.abs(g) @ np.abs(wy))
 
 
 def _graded_points(order: float, near: float, far: float,
@@ -299,7 +291,7 @@ def frac_integral_1d_with_estimate(
 
     def level(n):
         pts, w, scale = _axis_samples(order, side, interval, at, n)
-        vals = _sample_1d(f, pts)
+        vals = _sample_2d(lambda x, _: f(x), pts, np.zeros(1))[:, 0]
         # The magnitude needs no |w|: the rule weights are >= 0.
         return scale * float(np.dot(w, vals)), scale * float(np.dot(w, np.abs(vals)))
     return two_level(level, spec, "1d fractional integral")
@@ -341,8 +333,7 @@ def frac_integral_2d_with_estimate(
     def level(n):
         xs, wx, sx = _axis_samples(order.alpha, corner.x_side, rect.x, at[0], n)
         ys, wy, sy = _axis_samples(order.beta, corner.y_side, rect.y, at[1], n)
-        vals = _sample_2d(f, xs, ys)
-        return sx * sy * float(wx @ vals @ wy), sx * sy * float(wx @ np.abs(vals) @ wy)
+        return _form(wx, _sample_2d(f, xs, ys), wy, sx * sy)
     return two_level(level, spec, "2d fractional integral")
 
 

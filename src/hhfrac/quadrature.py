@@ -235,22 +235,22 @@ def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.n
     return omega, rho
 
 
-def two_level(level, spec, what: str, fallback=None) -> tuple[float, float]:
+def two_level(level, spec, what: str, graded=None) -> tuple[float, float]:
     """``(value, error)`` of a rule from two adjacent refinement levels.
 
     ``level(n)`` returns the rule's value and summed term magnitude with ``n``
     nodes per axis; each level is computed once.  With
     ``n = spec.nodes_per_axis >= 4`` the levels ``n // 2`` and ``n`` come
     first: a gap within :func:`error_floor` of level ``n``'s magnitude (and
-    within the fallback limit below) returns level ``n``'s value with the
-    gap plus that floor, and ``2n`` is never sampled.  Otherwise the pair
-    ``(n, 2n)`` decides: the value is the finer level's, the error the gap
-    plus the floor of the finer magnitude.  A gap beyond
-    ``target_rel_tol * max(1, |fine|)`` returns ``fallback()`` if one is
-    given; without one, a gap ``NONCONVERGENCE_FACTOR`` times that raises.
-    So a stop at the probe with ``2n`` nodes returns exactly what the pair
-    ``(n, 2n)`` gives with ``n`` nodes, and after a failed probe the result
-    is the pair's alone.
+    within the limit below) returns level ``n``'s value with the gap plus
+    that floor, and ``2n`` is never sampled.  Otherwise the pair ``(n, 2n)``
+    decides: the value is the finer level's, the error the gap plus the
+    floor of the finer magnitude.  ``graded`` is a level of a second rule for
+    the same quantity: a gap beyond ``target_rel_tol * max(1, |fine|)``
+    returns its own ``two_level`` estimate; without one, a gap
+    ``NONCONVERGENCE_FACTOR`` times that limit raises.  So a stop at the
+    probe with ``2n`` nodes returns exactly what the pair ``(n, 2n)`` gives
+    with ``n`` nodes, and after a failed probe the result is the pair's alone.
     """
     n = spec.nodes_per_axis
     half = level(n // 2)[0] if n >= 4 else None
@@ -262,8 +262,8 @@ def two_level(level, spec, what: str, fallback=None) -> tuple[float, float]:
     fine, magnitude = level(2 * n)
     gap = abs(coarse - fine)
     scale = max(1.0, abs(fine))
-    if fallback is not None and gap > spec.target_rel_tol * scale:
-        return fallback()
+    if graded is not None and gap > spec.target_rel_tol * scale:
+        return two_level(graded, spec, what)
     if gap > NONCONVERGENCE_FACTOR * spec.target_rel_tol * scale:
         raise QuadratureNonConvergenceError(
             f"{what}: refinement levels disagree by {gap:.3e} "

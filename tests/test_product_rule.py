@@ -42,24 +42,27 @@ ORDERS = ((0.7, 1.3), (0.2, 0.5), (2.5, 1.0))
 
 def graded(monkeypatch, fn, *args):
     """``fn(*args)`` with the product rule switched off: every two-level
-    estimate in certify that has a fallback takes it."""
-    def fallback_always(level, spec, what, fallback=None):
-        return fallback() if fallback else quadrature.two_level(level, spec, what)
+    estimate in certify that has a graded rule runs that rule alone."""
+    def graded_only(level, spec, what, graded=None):
+        return quadrature.two_level(graded or level, spec, what)
 
     with monkeypatch.context() as m:
-        m.setattr(certify, "two_level", fallback_always)
+        m.setattr(certify, "two_level", graded_only)
         return fn(*args)
 
 
 def fallbacks(monkeypatch, fn, *args) -> list[str]:
-    """The two-level estimates whose fallback ran in ``fn(*args)``."""
+    """The two-level estimates whose graded rule ran in ``fn(*args)``."""
     ran = []
 
-    def recording(level, spec, what, fallback=None):
-        def recorded():
-            ran.append(what)
-            return fallback()
-        return quadrature.two_level(level, spec, what, recorded if fallback else None)
+    def recording(level, spec, what, graded=None):
+        def recorded(n):
+            if not levels:
+                ran.append(what)
+            levels.append(n)
+            return graded(n)
+        levels = []
+        return quadrature.two_level(level, spec, what, recorded if graded else None)
 
     with monkeypatch.context() as m:
         m.setattr(certify, "two_level", recording)
@@ -108,8 +111,8 @@ class TestFallback:
         f = parse_function_spec(src)
         order = FracOrder(*order)
         (middle, middle_args), (a, a_args), _ = quantities(f, order, UNIT_SQ)
-        assert fallbacks(monkeypatch, middle, *middle_args) == ["product-rule middle term"]
-        assert fallbacks(monkeypatch, a, *a_args) == ["product-rule A term"]
+        assert fallbacks(monkeypatch, middle, *middle_args) == ["middle term"]
+        assert fallbacks(monkeypatch, a, *a_args) == ["A term"]
         for fn, args in quantities(f, order, UNIT_SQ)[:2]:
             assert fn(*args) == graded(monkeypatch, fn, *args)
         h = HWeight.power(0.5)
@@ -210,11 +213,11 @@ def run_levels(monkeypatch, fn, *args):
     levels, weights = [], []
     pw = certify.product_weights
 
-    def recording(level, spec, what, fallback=None):
+    def recording(level, spec, what, graded=None):
         def recorded(n):
             levels.append((n, level(n)))
             return levels[-1][1]
-        return quadrature.two_level(recorded, spec, what, fallback)
+        return quadrature.two_level(recorded, spec, what, graded)
 
     def count_weights(order, n, parity):
         weights.append((order, n, parity))
@@ -266,8 +269,8 @@ class TestProbe:
         spec = QuadratureSpec(nodes_per_axis=nodes)
         f = parse_function_spec("x^0.5 + y^0.5")
         (middle, args), (a, a_args), _ = quantities(f, FracOrder(0.5, 1.3), UNIT_SQ)
-        assert fallbacks(monkeypatch, middle, *args[:3], spec) == ["product-rule middle term"]
-        assert fallbacks(monkeypatch, a, *a_args[:3], spec) == ["product-rule A term"]
+        assert fallbacks(monkeypatch, middle, *args[:3], spec) == ["middle term"]
+        assert fallbacks(monkeypatch, a, *a_args[:3], spec) == ["A term"]
 
 
 def _sweep(capsys, *extra):

@@ -151,8 +151,8 @@ class TestTwoLevel:
         gap = 1e-8
         assert self.SPEC.target_rel_tol < gap <= error_floor(magnitude)
         level, calls = self.rule(0.0, 0.0, half=gap, coarse_magnitude=magnitude)
-        assert two_level(level, self.SPEC, "demo", fallback=lambda: "fallback") == (
-            0.0, error_floor(3.0))
+        graded = lambda n: (7.0, 0.0)  # noqa: E731
+        assert two_level(level, self.SPEC, "demo", graded) == (0.0, error_floor(3.0))
         assert calls == [4, 8, 16]
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -190,8 +190,8 @@ class TestTwoLevel:
         limit = self.SPEC.target_rel_tol * max(1.0, abs(fine))
         assert (abs(coarse - fine) > limit) == falls_back  # the case is what it claims
         level, _ = self.rule(coarse, fine)
-        got = two_level(level, self.SPEC, "demo", fallback=lambda: "fallback")
-        assert (got == "fallback") == falls_back
+        got = two_level(level, self.SPEC, "demo", lambda n: (7.0, 0.0))
+        assert (got == (7.0, error_floor(0.0))) == falls_back
         if not falls_back:
             assert got == (fine, abs(coarse - fine) + error_floor(3.0))
 
