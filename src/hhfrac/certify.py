@@ -39,11 +39,12 @@ per grid instead of O(n^2), with the same bits.
 :func:`hhfrac.quadrature.two_level` computes each quantity at n/2 and n
 nodes per axis and stops when they agree to round-off; otherwise it adds
 2n and decides on the pair (n, 2n).  When that pair differs by more than
-``target_rel_tol * max(1, |value|)`` (an endpoint singularity of f, such as
-x^0.5, converges only algebraically), that quantity falls back to one graded
-rule: the power-weighted rule folded onto both ends of each axis
-(:func:`_folded_rule`), which integrates the same folded kernel, with its own
-``two_level``.  Every estimate is the gap of the accepted pair plus the
+its round-off floor (an endpoint singularity of f, such as x^0.5, converges
+only algebraically), the quantity also runs one graded rule with its own
+``two_level``: the power-weighted rule folded onto both ends of each axis
+(:func:`_folded_rule`), which integrates the same folded kernel.  The result
+with the smaller error is kept, and the graded one whenever the pair differs
+by more than ``target_rel_tol * max(1, |value|)``.  Every estimate is the gap of the accepted pair plus the
 round-off floor of ``|w|^T |F| |w|`` at its finer level; a product-rule
 ``|w|`` includes the weights' own rounding bound.
 
@@ -262,7 +263,7 @@ def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
 def _folded_rule(order: float, interval: Interval, n: int,
                  sign: float) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of ``int_0^1 t^(order-1) (g(hi - w t) + sign g(lo + w t)) dt``,
-    w the width of ``interval``: the graded fallback of every folded kernel,
+    w the width of ``interval``: the graded rule of every folded kernel,
     ``(1-xi)^(order-1) + sign xi^(order-1)`` at ``xi = (x - lo) / w``.  The
     points are those of the one-sided integrals anchored at ``hi`` and ``lo``,
     from :func:`hhfrac.fracquad._graded_points`."""

@@ -245,12 +245,14 @@ def two_level(level, spec, what: str, graded=None) -> tuple[float, float]:
     within the limit below) returns level ``n``'s value with the gap plus
     that floor, and ``2n`` is never sampled.  Otherwise the pair ``(n, 2n)``
     decides: the value is the finer level's, the error the gap plus the
-    floor of the finer magnitude.  ``graded`` is a level of a second rule for
-    the same quantity: a gap beyond ``target_rel_tol * max(1, |fine|)``
-    returns its own ``two_level`` estimate; without one, a gap
-    ``NONCONVERGENCE_FACTOR`` times that limit raises.  So a stop at the
-    probe with ``2n`` nodes returns exactly what the pair ``(n, 2n)`` gives
-    with ``n`` nodes, and after a failed probe the result is the pair's alone.
+    floor of the finer magnitude.  If that gap exceeds the floor, the
+    estimate of ``graded``, another rule's level for the same quantity,
+    replaces it when its error is smaller or the gap exceeds
+    ``target_rel_tol * max(1, |fine|)``; only then does its non-convergence
+    error propagate.  Without ``graded``, a gap ``NONCONVERGENCE_FACTOR``
+    times that limit raises.  So a stop at the probe with ``2n`` nodes
+    returns exactly what the pair ``(n, 2n)`` gives with ``n`` nodes, and
+    after a failed probe level ``n // 2`` plays no part in the result.
     """
     n = spec.nodes_per_axis
     half = level(n // 2)[0] if n >= 4 else None
@@ -260,13 +262,21 @@ def two_level(level, spec, what: str, graded=None) -> tuple[float, float]:
         if gap <= min(floor, spec.target_rel_tol * max(1.0, abs(coarse))):
             return coarse, gap + floor
     fine, magnitude = level(2 * n)
-    gap = abs(coarse - fine)
+    gap, floor = abs(coarse - fine), error_floor(magnitude)
     scale = max(1.0, abs(fine))
-    if graded is not None and gap > spec.target_rel_tol * scale:
-        return two_level(graded, spec, what)
+    if graded is not None and gap > floor:
+        beyond = gap > spec.target_rel_tol * scale
+        try:
+            other = two_level(graded, spec, what)
+        except QuadratureNonConvergenceError:
+            if beyond:
+                raise
+        else:
+            if beyond or other[1] < gap + floor:
+                return other
     if gap > NONCONVERGENCE_FACTOR * spec.target_rel_tol * scale:
         raise QuadratureNonConvergenceError(
             f"{what}: refinement levels disagree by {gap:.3e} "
             f"(limit {NONCONVERGENCE_FACTOR * spec.target_rel_tol * scale:.3e})"
         )
-    return fine, gap + error_floor(magnitude)
+    return fine, gap + floor

@@ -279,3 +279,29 @@ def test_quad_matches_the_closed_forms(m, order):
                 _rl(g, order, Side.RIGHT, lo, hi, at), rel=2e-15, abs=0)
         assert (_alg(along, 0.0, 1.0, order, 0.0) - _alg(along, 0.0, 1.0, 0.0, order)
                 == pytest.approx(_kernel(g, order, lo, hi), rel=2e-15, abs=1e-15))
+
+
+#: f on [0, 1]^2 with an endpoint kink, as expression and terms.  At some of
+#: these n the product rule's levels differ by more than their round-off
+#: floor but less than target_rel_tol: the graded rule's smaller error counts.
+KINKED = {
+    "x^0.25*y^0.25": ((1.0, ("pow", 0.25), ("pow", 0.25)),),
+    "x^0.5*y^0.5": ((1.0, ("pow", 0.5), ("pow", 0.5)),),
+    "x^1.5*exp(y)": ((1.0, ("pow", 1.5), ("exp", 1.0)),),
+    "x^0.5*y^0.7 + x*y": ((1.0, ("pow", 0.5), ("pow", 0.7)), (1.0, ("pow", 1.0), ("pow", 1.0))),
+}
+
+
+@pytest.mark.parametrize("src", sorted(KINKED))
+@pytest.mark.parametrize("order", [(1.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("n", [128, 512])
+def test_the_smaller_error_is_kept(src, order, n):
+    order, rect = FracOrder(*order), Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    exact, _, _ = _references(KINKED[src], rect, order, Corner.LOWER_LOWER, Side.LEFT, (1.0, 1.0))
+    fv, spec = parse_function_spec(src), QuadratureSpec(nodes_per_axis=n)
+    for name, fn in (("middle", middle_fractional_term_with_estimate),
+                     ("a_term", a_term_with_estimate),
+                     ("kernel", certify._folded_derivative_integral)):
+        value, error = fn(fv, order, rect, spec)
+        assert error <= 1e-13 and abs(value - exact[name]) <= error, (name, value, exact[name],
+                                                                      error)

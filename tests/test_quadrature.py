@@ -146,14 +146,15 @@ class TestTwoLevel:
 
     def test_probe_never_accepts_a_gap_beyond_the_target(self):
         # A huge summed magnitude lifts the floor above target_rel_tol; the
-        # probe still stops only where the fallback rule would accept.
+        # probe still stops only where the pair (8, 16) would be accepted.
         magnitude = 1e8
         gap = 1e-8
         assert self.SPEC.target_rel_tol < gap <= error_floor(magnitude)
         level, calls = self.rule(0.0, 0.0, half=gap, coarse_magnitude=magnitude)
-        graded = lambda n: (7.0, 0.0)  # noqa: E731
+        graded, graded_calls = self.rule(5.0, 5.0)
         assert two_level(level, self.SPEC, "demo", graded) == (0.0, error_floor(3.0))
         assert calls == [4, 8, 16]
+        assert graded_calls == []  # the pair agrees to round-off
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_below_four_nodes_no_probe(self, n):
@@ -176,24 +177,53 @@ class TestTwoLevel:
             1.0, error_floor(2.0))
         assert calls == [2, 5]
 
-    @pytest.mark.parametrize("fine, gap, falls_back", [
-        (0.0, 1e-9, False),  # exactly the limit tol * max(1, |fine|)
-        (0.0, float(np.nextafter(1e-9, 1.0)), True),
-        (0.5, 0.9e-9, False),  # |fine| < 1 keeps the absolute floor of one
-        (0.5, 2e-9, True),
-        (-40.0, 2e-8, False),  # the limit scales with |fine|
-        (-40.0, 8e-8, True),
-        (0.0, 1.0, True),  # far beyond the non-convergence limit
+    def test_graded_runs_iff_the_gap_exceeds_the_floor(self):
+        floor = error_floor(3.0)
+        for gap, runs in ((floor, False), (float(np.nextafter(floor, 1.0)), True)):
+            level, _ = self.rule(gap, 0.0)
+            # the graded error, error_floor(0), is below the first rule's
+            graded, graded_calls = self.rule(5.0, 5.0, magnitude=0.0)
+            got = two_level(level, self.SPEC, "demo", graded)
+            assert bool(graded_calls) == runs
+            assert got == ((5.0, error_floor(0.0)) if runs else (0.0, gap + floor))
+
+    @pytest.mark.parametrize("fine, gap, graded_gap, graded_wins", [
+        (0.0, 1e-12, 1e-14, True),  # within the target: the smaller error wins
+        (0.0, 1e-12, 1e-11, False),
+        (-40.0, 2e-8, 1e-8, True),  # the target scales with |fine|
+        (-40.0, 2e-8, 4e-8, False),
+        (0.5, 2e-9, 5e-8, True),  # beyond the target the graded rule wins anyway
+        (0.0, 1.0, 5e-8, True),  # far beyond the non-convergence limit
     ])
-    def test_fallback_iff_gap_exceeds_the_target(self, fine, gap, falls_back):
-        coarse = fine + gap
-        limit = self.SPEC.target_rel_tol * max(1.0, abs(fine))
-        assert (abs(coarse - fine) > limit) == falls_back  # the case is what it claims
-        level, _ = self.rule(coarse, fine)
-        got = two_level(level, self.SPEC, "demo", lambda n: (7.0, 0.0))
-        assert (got == (7.0, error_floor(0.0))) == falls_back
-        if not falls_back:
-            assert got == (fine, abs(coarse - fine) + error_floor(3.0))
+    def test_the_smaller_error_wins(self, fine, gap, graded_gap, graded_wins):
+        level, _ = self.rule(fine + gap, fine)
+        graded, _ = self.rule(7.0 + graded_gap, 7.0)
+        product = (fine, abs((fine + gap) - fine) + error_floor(3.0))
+        other = (7.0, abs((7.0 + graded_gap) - 7.0) + error_floor(3.0))
+        beyond = gap > self.SPEC.target_rel_tol * max(1.0, abs(fine))
+        assert graded_wins == (beyond or other[1] < product[1])  # the case is what it claims
+        assert two_level(level, self.SPEC, "demo", graded) == (other if graded_wins else product)
+
+    def test_a_tie_keeps_the_first_rule(self):
+        level, _ = self.rule(1e-12, 0.0)
+        graded, graded_calls = self.rule(-1e-12, 0.0)  # the same gap and magnitude
+        assert two_level(level, self.SPEC, "demo", graded) == (0.0, 1e-12 + error_floor(3.0))
+        assert graded_calls == [4, 8, 16]
+
+    @pytest.mark.parametrize("gap, raises", [
+        (1e-12, False),  # within the target the first rule's value stands
+        (1e-9, False),  # exactly the target
+        (2e-9, True),  # beyond it the graded rule's error propagates
+    ])
+    def test_a_graded_rule_that_raises(self, gap, raises):
+        level, _ = self.rule(gap, 0.0)
+        graded, graded_calls = self.rule(1.0, 0.0)  # disagrees beyond the factor
+        if raises:
+            with pytest.raises(QuadratureNonConvergenceError, match="^demo: .* by 1.000e"):
+                two_level(level, self.SPEC, "demo", graded)
+        else:
+            assert two_level(level, self.SPEC, "demo", graded) == (0.0, gap + error_floor(3.0))
+        assert graded_calls == [4, 8, 16]
 
     def test_without_fallback_raises_beyond_the_factor(self):
         level, _ = self.rule(1.5e-7, 0.0)
