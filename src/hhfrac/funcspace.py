@@ -540,6 +540,11 @@ def _lazy_mixed_partial(ast: Expression) -> Callable:
 # the bivariate function wrapper
 # ---------------------------------------------------------------------------
 
+#: Keys kept by :meth:`BivariateFunction.cached`: one theorem call on one
+#: rectangle uses at most 8, so two rectangles fit.
+_SAMPLE_CACHE_KEYS = 16
+
+
 @dataclass(frozen=True)
 class BivariateFunction:
     """An evaluable f(x, y) with an optional mixed partial d^2 f / dx dy.
@@ -553,9 +558,10 @@ class BivariateFunction:
     ``evaluator``.  ``provenance`` records how the function was built
     (``builtin:...`` or ``parsed:...``).  ``kinked`` flags functions whose
     mixed partial is unreliable near a kink (``abs`` in the source).
-    Sample grids built through :meth:`cached` live as long as the function,
-    and so does the last alpha-side half-product that :mod:`hhfrac.certify`
-    keeps with each grid: reusing one function across orders reuses both.
+    The last :data:`_SAMPLE_CACHE_KEYS` sample grids built through
+    :meth:`cached` live as long as the function, and so does the last
+    alpha-side half-product that :mod:`hhfrac.certify` keeps with each grid:
+    reusing one function across orders reuses both.
     """
 
     evaluator: Callable
@@ -569,10 +575,16 @@ class BivariateFunction:
 
     def cached(self, key, build: Callable):
         """The value stored under ``key``, from ``build()`` on first use; a
-        ``build`` that raises stores nothing."""
-        if key not in self._samples:
-            self._samples[key] = build()
-        return self._samples[key]
+        ``build`` that raises stores nothing.  Past :data:`_SAMPLE_CACHE_KEYS`
+        keys the oldest are dropped."""
+        # get, a list copy and pop with a default: a key that another thread
+        # drops meanwhile raises nowhere
+        value = self._samples.get(key)
+        if value is None:
+            value = self._samples[key] = build()
+            for old in list(self._samples)[:-_SAMPLE_CACHE_KEYS]:
+                self._samples.pop(old, None)
+        return value
 
 
 def mixed_partial(f, x, y):

@@ -158,8 +158,12 @@ _KERNEL_GRADING_BOOST = 4
 #: of the function at the far end of the integration interval.
 _FAR_END_GRADING = 4
 
+#: Entries kept by each order-keyed rule cache, so a scan over many orders
+#: runs in bounded memory; a benchmark process or a CLI sweep needs fewer.
+_RULE_CACHE_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, complements and weights (u, c, w) with
     ``sum w*g(u) ~ int_0^1 s^(order-1) g(s) ds`` and ``c = 1 - u``.
@@ -187,7 +191,7 @@ def power_weighted_rule(order: float, n: int) -> tuple[np.ndarray, np.ndarray, n
     return u, c, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def product_weights(order: float, n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-integration weights on the nodes of :func:`gauss_legendre_01`.
 

@@ -521,3 +521,25 @@ class TestNodeCap:
             tracemalloc.stop()
         assert code == 2 and "nodes_per_axis" in capsys.readouterr().err
         assert peak < 1 << 20
+
+
+class TestBoundedMemos:
+    """Each memo keyed by an order or a rectangle holds at most its bound."""
+
+    @pytest.mark.parametrize("name, args", [("power_weighted_rule", ()),
+                                            ("product_weights", (0,))])
+    def test_rule_caches_stop_at_their_bound(self, name, args):
+        rule = getattr(quadrature, name)
+        for i in range(300):
+            rule(1.0 + i / 300, 4, *args)
+        info = rule.cache_info()
+        assert info.currsize == info.maxsize == quadrature._RULE_CACHE_SIZE == 256
+
+    def test_function_samples_stop_at_their_bound(self):
+        f, builds = parse_function_spec("x*y"), []
+        for key in range(300):
+            assert f.cached(key, lambda key=key: builds.append(key) or (key,)) == (key,)
+        assert len(f._samples) == funcspace._SAMPLE_CACHE_KEYS == 16
+        # the newest keys stay and are not built again; the oldest are rebuilt
+        assert f.cached(299, lambda: (-1,)) == (299,) and f.cached(0, lambda: (-1,)) == (-1,)
+        assert builds == list(range(300))
