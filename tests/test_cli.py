@@ -209,6 +209,15 @@ class TestFracIntegrateCommand:
         assert code == 0
         assert rep["result"]["value"] == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_integrand_is_an_error(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "frac-integrate", "--f1", "exp(800*t)", "--alpha", "0.5",
+            "--side", "left", "--interval", "0", "1", "--at", "1", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: EvaluationError: function value not finite at (x=1.0, y=0.0)\n"
+
     def test_bad_at_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "frac-integrate", "--f1", "t", "--alpha", "0.5",

@@ -19,6 +19,7 @@ from hhfrac.fracquad import (
     frac_integral_2d,
     frac_integral_2d_with_estimate,
 )
+from hhfrac.funcspace import univariate_from_source
 from hhfrac.quadrature import power_weighted_rule
 
 from oracles import brute_frac_2d
@@ -67,6 +68,12 @@ class TestDomainTypes:
 
 
 class Test1D:
+    def test_non_finite_value_names_the_point_on_y_0(self):
+        # one-variable integrands go through the two-variable sampler at y = 0
+        with pytest.raises(EvaluationError) as ei:
+            frac_integral_1d(univariate_from_source("exp(800*t)"), 0.5, Side.LEFT, UNIT, 1.0)
+        assert str(ei.value) == "function value not finite at (x=1.0, y=0.0)"
+
     def test_constant_half_order(self):
         # J of 1 at 1 over [0,1]: (x-a)^alpha / Gamma(alpha+1)
         got = frac_integral_1d(lambda t: np.ones_like(t), 0.5, Side.LEFT, UNIT, 1.0)
