@@ -44,9 +44,9 @@ only algebraically), the quantity also runs one graded rule with its own
 ``two_level``: the power-weighted rule folded onto both ends of each axis
 (:func:`_folded_rule`), which integrates the same folded kernel.  The result
 with the smaller error is kept, and the graded one whenever the pair differs
-by more than ``target_rel_tol * max(1, |value|)``.  Every estimate is the gap of the accepted pair plus the
-round-off floor of ``|w|^T |F| |w|`` at its finer level; a product-rule
-``|w|`` includes the weights' own rounding bound.
+by more than ``target_rel_tol * max(1, |value|)``.  Every estimate is the gap
+of the accepted pair plus the round-off floor of ``|w|^T |F| |w|`` at its
+finer level; a product-rule ``|w|`` includes the weights' own rounding bound.
 
 Every report carries a propagated quadrature-error estimate, and pass/fail
 is decided against ``tol = max(abs_tol, 10 * quadrature_error)``: the

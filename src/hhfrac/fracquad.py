@@ -189,10 +189,11 @@ def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray,
                what: str = "function value") -> np.ndarray:
     """f (a ``BivariateFunction`` or plain callable) on the grid xs x ys, in
     blocks of whole rows: the one place where f, its mixed partial or a
-    one-variable integrand (on ys = [0]) meets points.  A result that broadcasts to a block (f of one variable gives
-    (k, 1) or (1, n)) is expanded, so sums run in the same order as for any
-    f; a callable that rejects arrays is called per point.  A value that is
-    not finite raises :class:`EvaluationError` naming ``what`` and the point."""
+    one-variable integrand (on ys = [0]) meets points.  A result that
+    broadcasts to a block (f of one variable gives (k, 1) or (1, n)) is
+    expanded, so sums run in the same order as for any f; a callable that
+    rejects arrays is called per point.  A value that is not finite raises
+    :class:`EvaluationError` naming ``what`` and the point."""
     rows = max(1, _BLOCK_POINTS // ys.size)
     vals = None if rows >= xs.size else np.empty((xs.size, ys.size))
     for i in range(0, xs.size, rows):

@@ -56,12 +56,13 @@ def fallbacks(monkeypatch, fn, *args) -> list[str]:
     ran = []
 
     def recording(level, spec, what, graded=None):
+        levels = []
+
         def recorded(n):
             if not levels:
                 ran.append(what)
             levels.append(n)
             return graded(n)
-        levels = []
         return quadrature.two_level(level, spec, what, recorded if graded else None)
 
     with monkeypatch.context() as m:
