@@ -333,6 +333,16 @@ class TestTheorem1Chain:
         assert r1.right == pytest.approx(r4.right, rel=1e-12)
 
 
+class TestKinkNote:
+    @pytest.mark.parametrize("chain", [
+        lambda f: theorem1_chain(f, FracOrder(1.0, 1.0), UNIT_SQ),
+        lambda f: theorem4_chain(f, HWeight.identity(), FracOrder(1.0, 1.0), UNIT_SQ),
+    ], ids=["t1", "t4"])
+    def test_chains_carry_the_kink_note(self, chain):
+        assert KINK_NOTE in chain(parse_function_spec("abs(x) * y")).notes
+        assert KINK_NOTE not in chain(parse_function_spec("x * y")).notes
+
+
 class TestTheorem5Bound:
     def test_bilinear_identity_values(self):
         rep = theorem5_bound(PRODUCT, HWeight.identity(), FracOrder(1, 1), UNIT_SQ)

@@ -663,3 +663,119 @@ class TestTableFileErrors:
                                  "--h", f"table:{path}")
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and str(path) in err and named in err
+
+
+_R = ("--rect", "0", "1", "0", "1")
+_AB = ("--alpha", "1", "--beta", "1")
+_VERIFY = ("verify", "--theorem", "t1", "--f", "x*y", *_R, *_AB)
+_SWEEP = ("sweep", "--theorem", "t1", "--f", "x*y", *_R)
+_T6_SWEEP = ("sweep", "--theorem", "t6", "--f", "x*y", *_R, "--h", "identity", "--axis", "p=2")
+_CHECK = ("check-hconvex", "--f", "x*y", "--h", "identity", *_R)
+_FRAC = ("frac-integrate", "--side", "left", "--interval", "0", "1", "--at", "1")
+
+
+def _without(argv, flag):
+    """``argv`` without ``flag`` and the values up to the next flag."""
+    i = argv.index(flag)
+    j = next((k for k in range(i + 1, len(argv)) if argv[k].startswith("--")), len(argv))
+    return argv[:i] + argv[j:]
+
+
+class TestUsageErrorTable:
+    """Every user-facing error of the four commands: its exit code, an empty
+    stdout and its exact stderr.  ``{tmp}`` stands for a fresh directory; a
+    config text is written there and passed as ``--config``."""
+
+    FAULTS = "usage error: sweep needs --alpha and --beta (or axes for them)\n"
+    CASES = [
+        ("config-missing", (*_VERIFY, "--config", "{tmp}/missing.json"), None, 2,
+         "usage error: --config: cannot read {tmp}/missing.json: [Errno 2] "
+         "No such file or directory: '{tmp}/missing.json'\n"),
+        ("config-invalid-json", _VERIFY, "{", 2,
+         "usage error: --config: cannot read {tmp}/cfg.json: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)\n"),
+        ("config-list", _VERIFY, "[]", 2,
+         "usage error: --config: top level must be a JSON object\n"),
+        ("config-null", (*_VERIFY, "--output", "{tmp}/r.txt"), '{"h": null}', 0, ""),
+        *((f"verify-no-{flag}", _without(_VERIFY, f"--{flag}"), None, 2,
+           f"usage error: --{flag} is required\n")
+          for flag in ("theorem", "f", "rect", "alpha", "beta")),
+        ("verify-t4-no-h", ("verify", "--theorem", "t4", "--f", "x*y", *_R, *_AB), None, 2,
+         "usage error: --h is required for theorem t4\n"),
+        ("verify-t1-p", (*_VERIFY, "--p", "2"), None, 2,
+         "usage error: --p is only accepted for theorem t6\n"),
+        ("verify-t4-p", ("verify", "--theorem", "t4", "--f", "x*y", *_R, *_AB,
+                         "--h", "identity", "--p", "2"), None, 2,
+         "usage error: --p is only accepted for theorem t6\n"),
+        *((f"sweep-no-{flag}", _without((*_SWEEP, *_AB[2:], "--axis", "alpha=1"), f"--{flag}"),
+           None, 2, f"usage error: --{flag} is required\n")
+          for flag in ("theorem", "f", "rect")),
+        ("sweep-axis-no-values", (*_SWEEP, *_AB, "--axis", "alpha"), None, 2,
+         "usage error: --axis expects NAME=v1,v2,..., got 'alpha'\n"),
+        ("sweep-axis-unknown", (*_SWEEP, *_AB, "--axis", "q=1"), None, 2,
+         "usage error: --axis: unknown parameter 'q' (one of alpha, beta, s, p)\n"),
+        ("sweep-axis-repeated", (*_SWEEP, *_AB, "--axis", "alpha=1", "--axis", "alpha=2"),
+         None, 2, "usage error: --axis: duplicate parameter 'alpha'\n"),
+        ("sweep-axis-not-a-number", (*_SWEEP, *_AB, "--axis", "alpha=x"), None, 2,
+         "usage error: --axis alpha: bad value (could not convert string to float: 'x')\n"),
+        ("sweep-axis-empty", (*_SWEEP, *_AB, "--axis", "alpha=,"), None, 2,
+         "usage error: --axis alpha: no values given\n"),
+        ("sweep-axis-negative-alpha", (*_SWEEP, *_AB, "--axis", "alpha=-1"), None, 2,
+         "usage error: --axis alpha: values must be positive, got -1.0\n"),
+        ("sweep-axis-s-above-one", (*_SWEEP, *_AB, "--axis", "s=1.5"), None, 2,
+         "usage error: --axis s: values must lie in (0, 1], got 1.5\n"),
+        ("sweep-axis-p-one", (*_SWEEP, *_AB, "--axis", "p=1"), None, 2,
+         "usage error: --axis p: values must exceed 1, got 1.0\n"),
+        ("sweep-only-p", _T6_SWEEP, None, 2, FAULTS),
+        ("sweep-only-beta", (*_SWEEP, "--axis", "beta=1"), None, 2, FAULTS),
+        *((f"check-no-{flag}", _without(_CHECK, f"--{flag}"), None, 2,
+           f"usage error: --{flag} is required\n")
+          for flag in ("f", "h", "rect")),
+        ("check-missing-table", (*_without(_CHECK, "--h"), "--h", "table:{tmp}/h.txt"), None, 2,
+         "usage error: cannot read h table {tmp}/h.txt: [Errno 2] "
+         "No such file or directory: '{tmp}/h.txt'\n"),
+        ("frac-no-alpha", (*_FRAC, "--f1", "t"), None, 2, "usage error: --alpha is required\n"),
+        ("frac-no-function", (*_FRAC, "--alpha", "0.5"), None, 2,
+         "usage error: give exactly one of --f1 (one variable) or --f (two variables)\n"),
+        ("frac-1d-no-side", (*_without(_FRAC, "--side"), "--f1", "t", "--alpha", "0.5"), None, 2,
+         "usage error: --side is required for a 1d integral\n"),
+        ("frac-1d-at-two", (*_FRAC, "--f1", "t", "--alpha", "0.5", "--at", "1", "2"), None, 2,
+         "usage error: --at takes one value for a 1d integral\n"),
+        ("frac-2d-at-one", ("frac-integrate", "--f", "x*y", "--alpha", "0.5", "--beta", "0.5",
+                            "--corner", "a+c+", *_R, "--at", "1"), None, 2,
+         "usage error: --at takes two values for a 2d integral\n"),
+        ("frac-bad-f1", (*_FRAC, "--f1", "t$", "--alpha", "0.5"), None, 2,
+         "usage error: syntax error at offset 1: expected number, identifier, operator "
+         "(unexpected character '$')\n"),
+        ("frac-bad-interval", (*_FRAC, "--f1", "t", "--alpha", "0.5", "--interval", "1", "0"),
+         None, 2, "usage error: interval requires lo < hi, got [1.0, 0.0]\n"),
+        ("frac-negative-beta", ("frac-integrate", "--f", "x*y", "--alpha", "0.5", "--beta", "-1",
+                                "--corner", "a+c+", *_R, "--at", "1", "1"), None, 2,
+         "usage error: fractional order beta must be positive, got -1.0\n"),
+        ("f-bad-character", (*_VERIFY, "--f", "x$y"), None, 2,
+         "usage error: syntax error at offset 1: expected number, identifier, operator "
+         "(unexpected character '$')\n"),
+        ("f-powersum-without-s", (*_VERIFY, "--f", "builtin:powersum"), None, 2,
+         "usage error: powersum takes one parameter s\n"),
+        ("f-bilinear-two-coefficients", (*_VERIFY, "--f", "builtin:bilinear:1:2"), None, 2,
+         "usage error: bilinear takes four coefficients c0, cx, cy, cxy\n"),
+        # a line with two faults reports the first one checked
+        ("two-faults-frac", _FRAC, None, 2,
+         "usage error: give exactly one of --f1 (one variable) or --f (two variables)\n"),
+        ("two-faults-verify", ("verify", *_R), None, 2, "usage error: --theorem is required\n"),
+        ("two-faults-sweep", (*_T6_SWEEP, "--jobs", "0"), None, 2, FAULTS),
+        ("sweep-jobs", (*_SWEEP, *_AB, "--axis", "alpha=1", "--jobs", "0"), None, 2,
+         "usage error: --jobs must be >= 1, got 0\n"),
+        ("two-faults-check", (*_CHECK, "--grid", "2", "--tol", "-1"), None, 2,
+         "usage error: --grid must lie in [3, 64], got 2\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, config, exit_code, stderr", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_code_and_message(self, capsys, tmp_path, argv, config, exit_code, stderr):
+        argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (exit_code, "", stderr.replace("{tmp}", str(tmp_path)))

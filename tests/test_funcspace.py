@@ -221,6 +221,12 @@ class TestEvaluate:
         assert str(ei.value) == message
 
 
+    @pytest.mark.parametrize("node", [Call("tan", (X,)), object()], ids=["call", "node"])
+    def test_an_unknown_node_or_function_is_an_evaluation_error(self, node):
+        with pytest.raises(EvaluationError, match="cannot evaluate"):
+            evaluate(Add(X, node), 1.0, 2.0)
+
+
 class TestMixedPartial:
     def test_bilinear_constant(self):
         f = parse_function_spec("x*y")
