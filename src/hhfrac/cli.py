@@ -26,7 +26,7 @@ import io
 import json
 import math
 import sys
-from itertools import product
+from itertools import chain, product
 
 from .certify import (
     DEFAULT_ABS_TOL,
@@ -98,10 +98,6 @@ def _emit_json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _emit_json(obj: dict) -> str:
-    return _emit_json_value(obj) + "\n"
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -152,7 +148,7 @@ def _write_report(args, status: str, config: dict, body: dict, columns, rows) ->
     report = {"schema_version": SCHEMA_VERSION, "command": args.command,
               "status": status, "config": config, **body}
     if args.format == "json":
-        text = _emit_json(report)
+        text = _emit_json_value(report) + "\n"
     elif args.format == "csv":
         text = _emit_csv(columns, rows)
     else:
@@ -221,12 +217,28 @@ def _load_config_overrides(args: argparse.Namespace) -> None:
             setattr(args, field, getattr(parsed, field))
 
 
+class _UsageBoundary:
+    """``with _AS_USAGE:`` makes an input that does not construct (any
+    :class:`HHFracError`) a :class:`UsageError` with the same message.  A plain
+    class: ``contextlib.contextmanager`` costs five times as much per ``with``,
+    and a sweep enters one per row."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, HHFracError) and not isinstance(exc, UsageError):
+            raise UsageError(str(exc)) from exc
+        return False
+
+
+_AS_USAGE = _UsageBoundary()
+
+
 def _quad_spec(args) -> QuadratureSpec:
-    try:
+    with _AS_USAGE:
         return QuadratureSpec(nodes_per_axis=int(args.nodes),
                               target_rel_tol=float(args.rel_tol))
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _rect(args) -> Rectangle:
@@ -247,12 +259,6 @@ _SPEC = QuadratureSpec()
 _QUAD_DEFAULTS = {"nodes": _SPEC.nodes_per_axis, "rel_tol": _SPEC.target_rel_tol}
 _VERIFY_DEFAULTS = {**_QUAD_DEFAULTS, "abs_tol": DEFAULT_ABS_TOL, "format": "text"}
 _GRID_DEFAULT = inspect.signature(check_coordinate_h_convex).parameters["grid"].default
-
-
-def _apply_defaults(args, defaults) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
 
 
 def _check_theorem_consistency(args) -> None:
@@ -282,7 +288,7 @@ def _run_theorem(args, parse=parse_function_spec,
     parsed instance, so the rows share its samples and read a table once.
     """
     # Construction problems are usage errors; anything after is computation.
-    try:
+    with _AS_USAGE:
         rect = _rect(args)
         order = FracOrder(float(args.alpha), float(args.beta))
         spec = _quad_spec(args)
@@ -292,10 +298,6 @@ def _run_theorem(args, parse=parse_function_spec,
         abs_tol = float(args.abs_tol)
         _check_tol(abs_tol, "--abs-tol")
         rect.require_nonneg_origin()
-    except UsageError:
-        raise
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
 
     if args.theorem == "t1":
         rep = theorem1_chain(f, order, rect, spec, abs_tol)
@@ -326,10 +328,6 @@ def _outcome(args, *parsers) -> tuple[str, dict, str | None]:
 
 
 def _cmd_verify(args) -> int:
-    _apply_defaults(args, _VERIFY_DEFAULTS)
-    for required in ("theorem", "f", "rect", "alpha", "beta"):
-        if getattr(args, required) is None:
-            raise UsageError(f"--{required.replace('_', '-')} is required")
     _check_theorem_consistency(args)
     config = _fields(args, _THEOREM_CONFIG)
     status, result, error = _outcome(args)
@@ -375,21 +373,30 @@ def _parse_axes(entries) -> list[tuple[str, list[float]]]:
     return axes
 
 
-def _apply_axis_value(args_dict: dict, name: str, value: float) -> None:
-    if name in ("alpha", "beta", "p"):
-        args_dict[name] = value
-    else:  # s substitutes into the powersum builtin and the power h-weight
+def _apply_axis_value(cfg: dict, name: str, value: float) -> None:
+    cfg[name] = value
+    if name == "s":  # s substitutes into the powersum builtin and the power h-weight
         applied = False
-        if str(args_dict.get("f", "")).startswith("builtin:powersum"):
-            args_dict["f"] = f"builtin:powersum:{value!r}"
+        if cfg["f"].startswith("builtin:powersum"):
+            cfg["f"] = f"builtin:powersum:{value!r}"
             applied = True
-        if args_dict.get("h") is not None and str(args_dict["h"]).startswith("power"):
-            args_dict["h"] = f"power:{value!r}"
+        if cfg["h"] is not None and cfg["h"].startswith("power"):
+            cfg["h"] = f"power:{value!r}"
             applied = True
         if not applied:
             raise UsageError(
                 "--axis s needs a builtin:powersum function or a power h-weight"
             )
+
+
+def _row_configs(base: dict, axes):
+    """Each row's config, built when the row runs: ``base`` with one value of
+    every axis, the first axis outermost."""
+    for combo in product(*(vals for _, vals in axes)):
+        cfg = dict(base)
+        for (name, _), value in zip(axes, combo):
+            _apply_axis_value(cfg, name, value)
+        yield cfg
 
 
 def _sweep_row_from(config: dict, result: dict, error: str | None) -> dict:
@@ -403,39 +410,24 @@ def _sweep_row_from(config: dict, result: dict, error: str | None) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    _apply_defaults(args, {"format": "csv", "jobs": 1})
-    _apply_defaults(args, _VERIFY_DEFAULTS)
-    for required in ("theorem", "f", "rect"):
-        if getattr(args, required) is None:
-            raise UsageError(f"--{required} is required")
     axes = _parse_axes(args.axis)
-    axis_names = [name for name, _ in axes]
     base = _fields(args, _THEOREM_CONFIG)
 
     rows = math.prod(len(vals) for _, vals in axes)
     if rows > MAX_SWEEP_ROWS:
         raise UsageError(f"--axis: the axes give {rows} rows, at most {MAX_SWEEP_ROWS}")
-    combos = list(product(*(vals for _, vals in axes)))
-    row_configs = []
-    for combo in combos:
-        cfg = dict(base)
-        for name, value in zip(axis_names, combo):
-            _apply_axis_value(cfg, name, value)
-            if name == "s":
-                cfg["s"] = value
-        row_configs.append(cfg)
-
-    # Fixed parameters must still be present after axis substitution.
-    for cfg in row_configs:
-        if cfg["alpha"] is None or cfg["beta"] is None:
-            raise UsageError("sweep needs --alpha and --beta (or axes for them)")
-        ns = argparse.Namespace(**cfg)
-        _check_theorem_consistency(ns)
+    configs = _row_configs(base, axes)
+    first = next(configs)
+    # Every row sets the same axes to values _parse_axes has checked, so the
+    # first row checks the fixed parameters for all.
+    if first["alpha"] is None or first["beta"] is None:
+        raise UsageError("sweep needs --alpha and --beta (or axes for them)")
+    _check_theorem_consistency(argparse.Namespace(**first))
 
     jobs = int(args.jobs)
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    _quad_spec(argparse.Namespace(**base))
+    _quad_spec(args)
 
     # Each distinct f and h text is parsed once, so every row reuses the
     # samples cached on f, a row with the previous row's alpha reuses its
@@ -448,7 +440,7 @@ def _cmd_sweep(args) -> int:
         _, result, error = _outcome(argparse.Namespace(**cfg), parse, parse_h)
         return _sweep_row_from(cfg, result, error)
 
-    rows = [run_row(cfg) for cfg in row_configs]
+    rows = [run_row(cfg) for cfg in chain((first,), configs)]
 
     config = dict(base)
     config["axes"] = {name: vals for name, vals in axes}
@@ -472,31 +464,20 @@ _CHECK_COLUMNS = ("verdict", "samples_checked", "worst_violation", "tol",
 
 
 def _cmd_check(args) -> int:
-    _apply_defaults(args, {"grid": _GRID_DEFAULT, "format": "text", "concave": False})
-    for required in ("f", "h", "rect"):
-        if getattr(args, required) is None:
-            raise UsageError(f"--{required} is required")
     if not 3 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must lie in [3, {MAX_GRID}], got {args.grid}")
-    try:
+    with _AS_USAGE:
         rect = _rect(args)
         f = parse_function_spec(args.f)
         h = parse_hweight(args.h)
         if args.tol is not None:
             _check_tol(args.tol, "--tol")
-    except UsageError:
-        raise
-    except HHFracError as exc:
-        raise UsageError(str(exc)) from exc
     args.direction = "concave" if args.concave else "convex"
     cert = check_coordinate_h_convex(f, h, rect, grid=args.grid, tol=args.tol,
                                      direction=args.direction)
     config = _fields(args, _CHECK_CONFIG)
     config["tol"] = cert.tol
     result = _fields(cert, _CHECK_RESULT)
-    if cert.witness is not None:
-        t, k, xu, yw = cert.witness
-        result["witness"] = [t, k, list(xu), list(yw)]
     return _write_report(args, cert.verdict, config, {"result": result},
                          _CHECK_COLUMNS, [result])
 
@@ -512,7 +493,6 @@ _FRAC_2D_CONFIG = ("f", "alpha", "beta", "corner", "rect", "at", "nodes", "rel_t
 
 
 def _cmd_frac(args) -> int:
-    _apply_defaults(args, {**_QUAD_DEFAULTS, "format": "text"})
     if (args.f1 is None) == (args.f is None):
         raise UsageError("give exactly one of --f1 (one variable) or --f (two variables)")
     if args.alpha is None:
@@ -529,7 +509,7 @@ def _cmd_frac(args) -> int:
     if len(args.at) != (1 if one_d else 2):
         raise UsageError(f"--at takes {at_count} for a {kind} integral")
     # Both integrals take (f, order, side or corner, domain, at, spec).
-    try:
+    with _AS_USAGE:
         if one_d:
             f = univariate_from_source(args.f1)
             domain, where = Interval(*args.interval), Side(args.side)
@@ -539,8 +519,6 @@ def _cmd_frac(args) -> int:
             domain, order = _rect(args), FracOrder(args.alpha, args.beta)
             where, at = Corner(args.corner), tuple(args.at)
             integrate = frac_integral_2d_with_estimate
-    except (HHFracError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
     try:
         value, est = integrate(f, order, where, domain, at, spec)
     except DomainError as exc:
@@ -604,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", nargs="+", type=float, default=None)
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_frac, parser=p)
+    p.set_defaults(handler=_cmd_frac, parser=p, required=(),
+                   defaults={**_QUAD_DEFAULTS, "format": "text"})
 
     p = sub.add_parser("check-hconvex", help="sampled coordinate h-convexity check")
     p.add_argument("--f", default=None)
@@ -616,11 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concave", action="store_true", default=None,
                    help="check the reversed (h-concave) inequality")
     _add_common(p)
-    p.set_defaults(handler=_cmd_check, parser=p)
+    p.set_defaults(handler=_cmd_check, parser=p, required=("f", "h", "rect"),
+                   defaults={"grid": _GRID_DEFAULT, "format": "text", "concave": False})
 
     p = sub.add_parser("verify", help="evaluate one inequality or the identity")
     _add_theorem(p)
-    p.set_defaults(handler=_cmd_verify, parser=p)
+    p.set_defaults(handler=_cmd_verify, parser=p, defaults=_VERIFY_DEFAULTS,
+                   required=("theorem", "f", "rect", "alpha", "beta"))
 
     p = sub.add_parser("sweep", help="verify over a parameter grid")
     _add_theorem(p)
@@ -630,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help=("accepted for compatibility and ignored: rows always run in "
                          "order on one thread; at least 1; to be removed"))
-    p.set_defaults(handler=_cmd_sweep, parser=p)
+    p.set_defaults(handler=_cmd_sweep, parser=p, required=("theorem", "f", "rect"),
+                   defaults={**_VERIFY_DEFAULTS, "format": "csv", "jobs": 1})
 
     return parser
 
@@ -640,6 +622,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _load_config_overrides(args)
+        # Each command's own defaults fill what neither the flags nor the
+        # file set; then its required flags are checked, in order.
+        for name, value in args.defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+        for name in args.required:
+            if getattr(args, name) is None:
+                raise UsageError(f"--{name} is required")
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
