@@ -106,7 +106,8 @@ Expression = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 #: function name -> arity
 FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "pow": 2}
 
-_BIN_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+#: binary operator -> (node type, binding power), for the parser and the printer
+_BINARY = {"+": (Add, 10), "-": (Sub, 10), "*": (Mul, 20), "/": (Div, 20), "^": (Pow, 30)}
 _UNARY_PRECEDENCE = 25  # ^ binds tighter than unary minus: -x^2 == -(x^2)
 
 
@@ -184,15 +185,15 @@ class _Parser:
         left = self.prefix()
         while True:
             tok = self.current
-            if tok.kind != "op" or tok.text not in _BIN_PRECEDENCE:
+            if tok.kind != "op" or tok.text not in _BINARY:
                 break
-            bp = _BIN_PRECEDENCE[tok.text]
+            cls, bp = _BINARY[tok.text]
             if bp <= min_bp:
                 break
             self.advance()
             # '^' is right-associative: reenter at bp-1 so equal binding recurses.
-            right = self.expression(bp - 1 if tok.text == "^" else bp)
-            left = {"+": Add, "-": Sub, "*": Mul, "/": Div, "^": Pow}[tok.text](left, right)
+            right = self.expression(bp - 1 if cls is Pow else bp)
+            left = cls(left, right)
         return left
 
     def prefix(self) -> Expression:
@@ -256,6 +257,9 @@ def parse_univariate(src: str) -> Expression:
 # pretty printer (round-trips through parse_expression)
 # ---------------------------------------------------------------------------
 
+_SYMBOL = {cls: (op, bp) for op, (cls, bp) in _BINARY.items()}
+
+
 def _fmt(e: Expression, ctx_bp: int) -> str:
     if isinstance(e, Num):
         return repr(e.value)
@@ -268,9 +272,7 @@ def _fmt(e: Expression, ctx_bp: int) -> str:
         return f"({s})" if ctx_bp > _UNARY_PRECEDENCE else s
     if isinstance(e, _Shared):
         return _fmt(e.expr, ctx_bp)
-    op, cls_bp = {
-        Add: ("+", 10), Sub: ("-", 10), Mul: ("*", 20), Div: ("/", 20), Pow: ("^", 30),
-    }[type(e)]
+    op, cls_bp = _SYMBOL[type(e)]
     if isinstance(e, Pow):
         s = f"{_fmt(e.left, cls_bp)}{op}{_fmt(e.right, cls_bp - 1)}"
     else:
@@ -303,19 +305,25 @@ def _domain_check(ok: np.ndarray | np.bool_, node: Expression, what: str) -> Non
         raise EvaluationDomainError(f"{what} in '{format_expression(node)}'")
 
 
+#: The operators evaluated without a domain test.
+_PLAIN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+#: Every function of a ``Call`` but ``pow`` is numpy's function of its name;
+#: those with a domain are tested first.
+_NUMPY_FUNCTIONS = frozenset(FUNCTIONS).difference(("pow",)).union(("sign",))
+_DOMAIN_TESTS = {"log": (operator.gt, "log of a non-positive value"),
+                 "sqrt": (operator.ge, "sqrt of a negative value")}
+
+
 def _eval(e: Expression, env: dict):
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
         return env[e.name]
+    plain = _PLAIN.get(type(e))
+    if plain is not None:  # the left operand first, as everywhere
+        return plain(_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Neg):
         return -_eval(e.operand, env)
-    if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
-    if isinstance(e, Sub):
-        return _eval(e.left, env) - _eval(e.right, env)
-    if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
     if isinstance(e, Div):
         num, den = _eval(e.left, env), _eval(e.right, env)
         _domain_check(den != 0, e, "division by zero")
@@ -331,22 +339,11 @@ def _eval(e: Expression, env: dict):
         return out
     if isinstance(e, Call):
         arg = _eval(e.args[0], env)
-        if e.func == "log":
-            _domain_check(arg > 0, e, "log of a non-positive value")
-            return np.log(arg)
-        if e.func == "sqrt":
-            _domain_check(arg >= 0, e, "sqrt of a negative value")
-            return np.sqrt(arg)
-        if e.func == "exp":
-            return np.exp(arg)
-        if e.func == "sin":
-            return np.sin(arg)
-        if e.func == "cos":
-            return np.cos(arg)
-        if e.func == "abs":
-            return np.abs(arg)
-        if e.func == "sign":
-            return np.sign(arg)
+        if e.func in _NUMPY_FUNCTIONS:
+            test = _DOMAIN_TESTS.get(e.func)
+            if test is not None:
+                _domain_check(test[0](arg, 0), e, test[1])
+            return getattr(np, e.func)(arg)  # looked up per call, so a patch of np is seen
     if isinstance(e, _Shared):
         # The call's environment holds [value, uses left] from the first use
         # to the last.
