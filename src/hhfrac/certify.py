@@ -68,18 +68,16 @@ from .fracquad import (
     Interval,
     QuadratureSpec,
     Rectangle,
+    _DEFAULT_SPEC,
     _form,
+    _gauss_nodes,
     _graded_points,
     _sample_2d,
     gauss_grid_samples,
 )
 from .funcspace import BivariateFunction, mixed_partial
 from .hweights import HFamily, HWeight, _check_tol, h_eval, table_pieces
-from .quadrature import (
-    gauss_legendre_01,
-    product_weights,
-    two_level,
-)
+from .quadrature import _EPS, product_weights, two_level
 from .special import beta as beta_fn
 from .special import beta_rel_error
 
@@ -114,8 +112,6 @@ MOMENT_WEIGHT_NOTE = "moment weights pair each axis with its own order: t^(alpha
 #: Attached when f contains abs(): the mixed partial is unreliable near the
 #: kink, so derivative-based bounds are reported, not asserted.
 KINK_NOTE = "f has a kink (abs); mixed-partial values near it are unreliable"
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -251,8 +247,7 @@ def _f_grid(fv: BivariateFunction, rect: Rectangle, n: int):
 def _d_grid(fv: BivariateFunction, rect: Rectangle, n: int) -> _Grid:
     """The mixed partial on the n-point Gauss-Legendre grid of ``rect``."""
     def build():
-        xi = gauss_legendre_01(n)[0]
-        return _Grid(_d2f_samples(fv, rect.a + rect.x.width * xi, rect.c + rect.y.width * xi), n)
+        return _Grid(_d2f_samples(fv, *_gauss_nodes(rect, n)), n)
     return fv.cached(("d2f", rect, n), build)
 
 
@@ -341,8 +336,6 @@ def a_term_with_estimate(
 # ---------------------------------------------------------------------------
 # h-moments in closed form
 # ---------------------------------------------------------------------------
-
-_EPS = 2.0**-52
 
 #: Multiple of ``eps`` in the round-off bound of a table moment, relative to
 #: the summed magnitude of its terms: each term carries the rounding of two

@@ -46,6 +46,7 @@ from .fracquad import (
     QuadratureSpec,
     Rectangle,
     Side,
+    _DEFAULT_SPEC,
     frac_integral_1d_with_estimate,
     frac_integral_2d_with_estimate,
 )
@@ -218,18 +219,16 @@ def _load_config_overrides(args: argparse.Namespace) -> None:
 
 
 class _UsageBoundary:
-    """``with _AS_USAGE:`` makes an input that does not construct (any
-    :class:`HHFracError`) a :class:`UsageError` with the same message.  A plain
-    class: ``contextlib.contextmanager`` costs five times as much per ``with``,
-    and a sweep enters one per row."""
+    """``with _AS_USAGE:`` makes an input that does not construct a usage error
+    with its message.  A plain class, as ``contextlib.contextmanager`` costs
+    five times as much per ``with`` and a sweep enters one per row."""
 
     def __enter__(self):
-        return self
+        pass
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, HHFracError) and not isinstance(exc, UsageError):
             raise UsageError(str(exc)) from exc
-        return False
 
 
 _AS_USAGE = _UsageBoundary()
@@ -255,8 +254,8 @@ def _fields(source, names) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
-_SPEC = QuadratureSpec()
-_QUAD_DEFAULTS = {"nodes": _SPEC.nodes_per_axis, "rel_tol": _SPEC.target_rel_tol}
+_QUAD_DEFAULTS = {"nodes": _DEFAULT_SPEC.nodes_per_axis,
+                  "rel_tol": _DEFAULT_SPEC.target_rel_tol}
 _VERIFY_DEFAULTS = {**_QUAD_DEFAULTS, "abs_tol": DEFAULT_ABS_TOL, "format": "text"}
 _GRID_DEFAULT = inspect.signature(check_coordinate_h_convex).parameters["grid"].default
 
@@ -384,9 +383,7 @@ def _apply_axis_value(cfg: dict, name: str, value: float) -> None:
             cfg["h"] = f"power:{value!r}"
             applied = True
         if not applied:
-            raise UsageError(
-                "--axis s needs a builtin:powersum function or a power h-weight"
-            )
+            raise UsageError("--axis s needs a builtin:powersum function or a power h-weight")
 
 
 def _row_configs(base: dict, axes):
@@ -540,12 +537,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_quadrature(p: argparse.ArgumentParser) -> None:
+    nodes, rel_tol = _QUAD_DEFAULTS.values()
     p.add_argument("--nodes", type=int, default=None,
                    help=("quadrature nodes per axis n; levels n/2 and n are compared "
                          "first, and 2n is added only when they differ beyond round-off "
-                         f"(default {_SPEC.nodes_per_axis}, at most {MAX_NODES_PER_AXIS})"))
+                         f"(default {nodes}, at most {MAX_NODES_PER_AXIS})"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
-                   help=f"quadrature target relative tolerance (default {_SPEC.target_rel_tol!r})")
+                   help=f"quadrature target relative tolerance (default {rel_tol!r})")
 
 
 def _add_theorem(p: argparse.ArgumentParser) -> None:
@@ -622,8 +620,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _load_config_overrides(args)
-        # Each command's own defaults fill what neither the flags nor the
-        # file set; then its required flags are checked, in order.
+        # The command's defaults fill what neither flags nor file set.
         for name, value in args.defaults.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)

@@ -217,6 +217,13 @@ def _sample_2d(f: Callable, xs: np.ndarray, ys: np.ndarray,
     return vals
 
 
+def _gauss_nodes(rect: Rectangle, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes of ``rect`` on each axis, so f and
+    its mixed partial are sampled on the same points."""
+    xi = gauss_legendre_01(n)[0]
+    return rect.a + rect.x.width * xi, rect.c + rect.y.width * xi
+
+
 def gauss_grid_samples(f, rect: Rectangle, n: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``f`` on the tensor n-point Gauss-Legendre grid of ``rect``.
@@ -226,9 +233,7 @@ def gauss_grid_samples(f, rect: Rectangle, n: int
     ``edges_y`` the (n, 2) sections ``f(x_i, c)``, ``f(x_i, d)``, with
     ``x_i = a + (b - a) xi_i`` and ``y_l = c + (d - c) xi_l``.
     """
-    xi, _ = gauss_legendre_01(n)
-    xs = rect.a + rect.x.width * xi
-    ys = rect.c + rect.y.width * xi
+    xs, ys = _gauss_nodes(rect, n)
     return (_sample_2d(f, xs, ys),
             _sample_2d(f, np.array([rect.a, rect.b]), ys),
             _sample_2d(f, xs, np.array([rect.c, rect.d])))

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import DomainError, HHFracError
 from .fracquad import Rectangle, _sample_2d
+from .quadrature import _EPS
 
 __all__ = [
     "HFamily",
@@ -248,8 +249,6 @@ _BLOCK_BYTES = 1 << 18
 #: pass the sections settle (about 0.9 s at 64 on 2 vCPUs) and as grid^6 for
 #: the sweep.
 MAX_GRID = 64
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

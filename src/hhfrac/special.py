@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, OverflowDomainError
+from .quadrature import _EPS
 
 __all__ = [
     "GAMMA_OVERFLOW_LIMIT",
@@ -23,8 +24,6 @@ __all__ = [
 
 #: Largest x with Gamma(x) representable in float64.
 GAMMA_OVERFLOW_LIMIT = 171.624376956302725
-
-_EPS = 2.0**-52
 
 
 def _check_positive(name: str, x: float) -> float:
