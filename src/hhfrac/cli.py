@@ -64,9 +64,9 @@ SWEEP_COLUMNS = (
 
 _SWEEP_AXES = ("alpha", "beta", "s", "p")
 
-#: Most rows a sweep may have.  Every row's configuration and result are held
-#: until the output is written, so the product of the axis lengths is checked
-#: before any row is built.
+#: Most rows a sweep may have.  A row's configuration lives while the row
+#: runs, but every finished row and the report's text are held until the
+#: output is written, so the product of the axis lengths is checked first.
 MAX_SWEEP_ROWS = 100_000
 
 

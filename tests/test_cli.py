@@ -399,6 +399,26 @@ class TestSweepCommand:
         monkeypatch.setattr(functools, "cache", lambda parse: parse)
         assert csv("per_row.csv") == once and len(reads) == 7
 
+    def test_a_row_config_lives_only_while_its_row_runs(self, capsys, tmp_path):
+        def peak(rows):
+            values = ",".join(f"{0.5 + 0.001 * i:.3f}" for i in range(rows))
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, "sweep", "--theorem", "t1", "--f", "x*y",
+                                     "--rect", "0", "1", "0", "1", "--beta", "1",
+                                     "--nodes", "8", "--axis", f"alpha={values}",
+                                     "--output", str(tmp_path / "rows.csv"))
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # rules and parsed f built outside the traced runs
+        (small_code, small), (large_code, large) = peak(200), peak(1200)
+        assert (small_code, large_code) == (0, 0)
+        # Each finished row and its CSV line are held until the report is
+        # written: about 0.9 kB a row; the configs of all rows added 0.5 kB.
+        assert (large - small) / 1000 < 1150
+
     def test_oversized_axis_product_is_usage_error_in_bounded_memory(self, capsys):
         values = ",".join(str(0.001 * (i + 1)) for i in range(400))
         tracemalloc.start()
