@@ -329,10 +329,8 @@ def _eval(e: Expression, env: dict):
         _domain_check(den != 0, e, "division by zero")
         return num / den
     if isinstance(e, Pow) or (isinstance(e, Call) and e.func == "pow"):
-        if isinstance(e, Pow):
-            base, expo = _eval(e.left, env), _eval(e.right, env)
-        else:
-            base, expo = _eval(e.args[0], env), _eval(e.args[1], env)
+        base, expo = (e.left, e.right) if isinstance(e, Pow) else e.args
+        base, expo = _eval(base, env), _eval(expo, env)
         _domain_check(~((base == 0) & (expo < 0)), e, "zero raised to a negative power")
         out = np.power(base, expo)
         _domain_check(~np.isnan(out), e, "negative base with fractional exponent")
