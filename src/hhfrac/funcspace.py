@@ -320,7 +320,7 @@ def _eval(e: Expression, env: dict):
     if isinstance(e, Var):
         return env[e.name]
     plain = _PLAIN.get(type(e))
-    if plain is not None:  # the left operand first, as everywhere
+    if plain is not None:  # left first: domain-error order and _Shared counts rely on it
         return plain(_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Neg):
         return -_eval(e.operand, env)
