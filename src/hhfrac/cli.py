@@ -386,7 +386,7 @@ def _apply_axis_value(cfg: dict, name: str, value: float) -> None:
             raise UsageError("--axis s needs a builtin:powersum function or a power h-weight")
 
 
-def _row_configs(base: dict, axes):
+def _axis_configs(base: dict, axes):
     """Each row's config, built when the row runs: ``base`` with one value of
     every axis, the first axis outermost."""
     for combo in product(*(vals for _, vals in axes)):
@@ -413,7 +413,7 @@ def _cmd_sweep(args) -> int:
     rows = math.prod(len(vals) for _, vals in axes)
     if rows > MAX_SWEEP_ROWS:
         raise UsageError(f"--axis: the axes give {rows} rows, at most {MAX_SWEEP_ROWS}")
-    configs = _row_configs(base, axes)
+    configs = _axis_configs(base, axes)
     first = next(configs)
     # Every row sets the same axes to values _parse_axes has checked, so the
     # first row checks the fixed parameters for all.
