@@ -23,16 +23,16 @@ gathered from that table; the ordinates k*u + (1-k)*w likewise.  So points
 equal in exact arithmetic are one float, every sample lies in the rectangle,
 and every grid abscissa is a combination abscissa (of the pair x = y).
 
-Most passes are settled without comparing every configuration.  With
-v = k*u + (1-k)*w each deficit splits exactly into the deficit in x of the
-section f(., v) plus h(t) and h(1-t) times deficits in y of the sections
-f(x, .) at grid abscissas (the partial-mapping form of coordinate convexity).
-When the largest section deficits, combined, stay within the tolerance after
-a rounding margin, the sweep could find no violation and the certificate is
-its pass; otherwise the sweep of every configuration runs and locates the
-witness.  One kernel forms every deficit of both, in blocks of a fixed byte
-size in one workspace per call, and the grid is at most :data:`MAX_GRID`, so
-memory stays bounded.  The concave check is the convex check of -f.
+Few configurations need comparing.  With v = k*u + (1-k)*w each deficit
+splits exactly into the deficit in x of the section f(., v) plus h(t) and
+h(1-t) times deficits in y of the sections f(x, .) at grid abscissas (the
+partial-mapping form of coordinate convexity), so the sections bound every
+row (t, abscissa pair) of deficits.  No bound above the tolerance is a pass;
+otherwise only the rows whose bounds reach the worst deficit found are
+swept, which locates the witness the sweep of every configuration would.
+One kernel forms every deficit, in blocks of a fixed byte size in one
+workspace per call, and the grid is at most :data:`MAX_GRID`, so memory
+stays bounded.  The concave check is the convex check of -f.
 """
 
 from __future__ import annotations
@@ -241,13 +241,14 @@ def parse_hweight(text: str) -> HWeight:
 #: Size bound of one float64 block of the certifier's sweep.  A few blocks
 #: are alive at once (the table of left sides, the two block buffers, the two
 #: gathered halves of the right side and the evaluator's temporaries), so
-#: peak memory is a small multiple of it at any grid.
+#: peak memory is a small multiple of it at any grid.  A chunk of sections
+#: holds 4 ordinates at grid 64, so per-row maxima take most of a fail there.
 _BLOCK_BYTES = 1 << 18
 
 #: Largest ``grid`` the certifier accepts.  A few of its arrays hold
-#: O(grid^3) values, 1-2 MB each at 64.  Its time grows as grid^5 for a
-#: pass the sections settle (about 0.9 s at 64 on 2 vCPUs) and as grid^6 for
-#: the sweep.
+#: O(grid^3) values, 1-2 MB each at 64.  On 2 vCPUs a pass takes about 1.3 s
+#: at 64; a bump fails in 0.16 s at 33 and 7.6 s at 64, where sweeping every
+#: (t, pair) row took 1.0 s and 46 s.
 MAX_GRID = 64
 
 
@@ -313,37 +314,6 @@ def _tolerance(tol: Optional[float], max_abs_f: float) -> float:
     return 1e-10 * (1.0 + max_abs_f) if tol is None else tol
 
 
-def _pass_certificate(samples: int, tol: float, g: int) -> ConvexityCertificate:
-    return ConvexityCertificate(
-        verdict="pass", samples_checked=samples, worst_violation=0.0,
-        tol=tol, grid=g,
-        message=(f"no violation found on {samples} sampled configurations "
-                 f"(grid {g} per axis); sampled check only, not a proof"),
-    )
-
-
-def _section_bound(d1: float, d2: float, hsum: float, scale: float) -> float:
-    """Upper bound on every sampled deficit, as the sweep computes it, from
-    the largest section deficits ``d1`` (in x) and ``d2`` (in y).
-
-    ``d2`` enters clamped at 0: its weights h(t) and h(1-t) sum to at most
-    ``hsum`` but vary with t, so ``hsum * d2`` under-bounds them when d2 < 0.
-
-    The margin covers rounding, with u = eps/2 and S = ``scale`` the largest
-    |f| that enters (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Sec. 3.1).  With H = ``hsum`` the first-order terms, in
-    units of u*S, are: the sweep's h(t)G1 + h(1-t)G2 and its subtraction from
-    the left side, 2H^2 + 1 + H^2; the computed d1, 3(1 + H); the computed
-    d2 under weights summing to H, H(1 + H); ``hsum`` rounded, H(1 + H); and
-    the three operations of the bound, 3(1 + H)^2.  In all at most
-    11(1 + H)^2 u S = 5.5(1 + H)^2 eps S; the factor 8 leaves room for the
-    second-order terms and for one rounding unit between two evaluations of
-    f at the same point.
-    """
-    margin = 8.0 * _EPS * (1.0 + scale) * (1.0 + hsum) ** 2
-    return d1 + hsum * max(d2, 0.0) + margin
-
-
 def _lattice(lo: float, hi: float, grid_pts: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The combination points lo + (hi-lo)*m/(g-1)^2 at lattice coordinates
     ``m``; at a multiple of g-1 the grid point itself, bit for bit."""
@@ -371,64 +341,72 @@ def _deficits(table, rows, ht, hmt, P1, P2, work):
         yield j0, np.subtract(L, D, out=D)
 
 
-def _section_test(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
-    """The tolerance of the pass the sweep would certify, if a bound settles
-    it without the sweep; None when the bound cannot.
+def _row_bounds(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
+    """Upper bounds U[t, p] on the sweep's deficits of each row (t, abscissa
+    pair p), over every k and ordinate pair, and the largest |f| sampled;
+    None where f fails here or a bound is not finite, so the sweep decides.
 
     Write v = k*u + (1-k)*w.  For any h every sampled deficit splits exactly
     into d1(t, x, y; v) + h(t) d2(x; k, u, w) + h(1-t) d2(y; k, u, w), where
     d1 = f(t*x + (1-t)*y, v) - h(t) f(x, v) - h(1-t) f(y, v) is the deficit
     in x of the section f(., v), and d2 = f(x_i, v) - G the deficit in y of
-    f(x_i, .) against the sweep's ordinate half G of the right side.  As h >=
-    0, every deficit is at most :func:`_section_bound` of the largest d1 and
-    d2 (Dragomir, Taiwanese J. Math. 5 (2001) 775-788, for the
-    partial-mapping form of coordinate convexity), both from :func:`_deficits`.
+    f(x_i, .) against the sweep's ordinate half G of the right side
+    (Dragomir, Taiwanese J. Math. 5 (2001) 775-788).  As h >= 0, a row's
+    deficits are at most U = max_v d1 + h(t) max d2(x) + h(1-t) max d2(y)
+    plus a margin, with d1 and d2 from :func:`_deficits`.
 
-    The sections are evaluated at the sweep's own lattice abscissas ``ux``
-    and ordinates ``uy``, so the table T = f(ux, v) holds exactly the sweep's
-    left sides and max |f| over F and T is the sweep's.  The grid abscissas
-    are lattice points too, rows ``gx`` of T, so f(x_i, v) is read from T;
-    where f fails in T the sweep decides, and fails there as well.
-    The ordinates are walked in chunks within ``_BLOCK_BYTES``, each taking
-    its d1 and keeping f(x_i, v) for the d2 after the walk, which stops as soon
-    as the bound exceeds the tolerance: that only hands the case to the sweep.
+    The margin covers rounding, with u = eps/2, S the largest |f| that
+    enters, H = h(t) + h(1-t) and K = max_k h(k) + h(1-k) >= H (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Sec. 3.1).  The sweep
+    and d2 share G bit for bit.  The first-order terms, in units of u*S, are:
+    the sweep's h(t)G1 + h(1-t)G2 and its subtraction from the left side,
+    1 + 3HK; the computed d1, 1 + 3H; the two d2 weighted, H(1 + K); and the
+    four operations of U, 4(1 + 2H + HK).  In all at most 8(1 + K)^2 u S; the
+    margin's factor 8 on eps leaves room for the second-order terms and for
+    one rounding unit between two evaluations of f at the same point.
+
+    T = f(ux, v) is evaluated at the sweep's own lattice abscissas ``ux`` and
+    ordinates ``uy``, in chunks of ordinates within ``_BLOCK_BYTES``, so it
+    holds exactly the sweep's left sides and max |f| over F and T is the
+    sweep's; its rows ``gx`` at the grid abscissas give f(x_i, v) for d2.
+    A first walk over T takes the largest d1 of each t, which settles most
+    passes; a second takes each row's own where a bound exceeds the tolerance.
     """
     g, npair, size = gx.size, i1.size, work.shape[1]
-    hsum = float((ht + hmt).max())
     # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
     # evaluation holds a few temporaries of its size.
     nv = -(-uy.size // max(1, size // (2 * max(ux.size, npair))))
     vc = -(-uy.size // nv)
     Fx = np.empty((uy.size, g))  # Fx[v, i] = f(x_i, v)
-
     max_abs_f = float(np.abs(F).max())
-    d = [-math.inf, -math.inf]  # the largest d1 and d2 so far
-
-    def exceeded(i, D):
-        m = float(D.max())
-        d[i] = max(d[i], m)
-        # NaN in m or in the bound lands here too.
-        bound = _section_bound(d[0], d[1], hsum, max_abs_f)
-        return not (math.isfinite(m) and bound <= _tolerance(tol, max_abs_f))
-
-    for v0 in range(0, uy.size, vc):
-        try:
-            T = _sample_2d(f, ux, uy[v0:v0 + vc])
-        except HHFracError:  # the sweep evaluates f again and raises there
-            return None
-        max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
-        Fx[v0:v0 + vc] = T[gx].T
-        if any(exceeded(0, D) for _, D in _deficits(T, IX, ht, hmt, T[gx[i1]], T[gx[i2]], work)):
-            return None
-
-    # d2[k, q, i] = f(x_i, v_kq) - (h(k) F[i, u_q] + h(1-k) F[i, w_q])
-    qc = max(1, size // g)  # ordinate pairs per block
-    for q0 in range(0, npair, qc):
-        qs = slice(q0, q0 + qc)
-        if any(exceeded(1, D) for _, D in _deficits(Fx, IX[:, qs], ht, hmt,
-                                                    F.T[i1[qs]], F.T[i2[qs]], work)):
-            return None
-    return _tolerance(tol, max_abs_f)
+    for second in (False, True):
+        d1 = np.full((ht.size, npair if second else 1), -math.inf)  # the largest over v
+        for v0 in range(0, uy.size, vc):
+            try:
+                T = _sample_2d(f, ux, uy[v0:v0 + vc])
+            except HHFracError:  # the sweep evaluates f again and raises there
+                return None
+            max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
+            Fx[v0:v0 + vc] = T[gx].T
+            for j0, D in _deficits(T, IX, ht, hmt, T[gx[i1]], T[gx[i2]], work):
+                # reduceat's one segment costs half of max(axis=-1) on rows this short
+                top = (np.maximum.reduceat(D, [0], axis=-1)[..., 0] if second
+                       else D.max(axis=(1, 2))[:, None])
+                np.maximum(d1[j0:j0 + len(D)], top, out=d1[j0:j0 + len(D)])
+        if not second:
+            # d2[k, q, i] = f(x_i, v_kq) - (h(k) F[i, u_q] + h(1-k) F[i, w_q])
+            d2 = np.full(g, -math.inf)  # the largest over (k, q)
+            qc = max(1, size // g)  # ordinate pairs per block
+            for q0 in range(0, npair, qc):
+                qs = slice(q0, q0 + qc)
+                for _, D in _deficits(Fx, IX[:, qs], ht, hmt, F.T[i1[qs]], F.T[i2[qs]], work):
+                    # one axis at a time is several times faster than (0, 1)
+                    np.maximum(d2, D.max(axis=0).max(axis=0), out=d2)
+        margin = 8.0 * _EPS * (1.0 + max_abs_f) * (1.0 + float((ht + hmt).max())) ** 2
+        U = d1 + ht[:, None] * d2[i1] + hmt[:, None] * d2[i2] + margin
+        if second or not U.max() > _tolerance(tol, max_abs_f):
+            break
+    return (U, max_abs_f) if np.isfinite(U).all() else None
 
 
 def check_coordinate_h_convex(
@@ -457,20 +435,18 @@ def check_coordinate_h_convex(
     ``samples_checked`` counts the configurations covered, ``len(t)^2 *
     grid^4``.
 
-    A pass is settled first by the sections (:func:`_section_test`): f is
-    evaluated on the distinct combination abscissas t*x + (1-t)*y times the
-    distinct combination ordinates k*u + (1-k)*w, ``len(ux) * len(uy)``
-    points.  Both are lattice points a + (b-a)*m/(grid-1)^2 with an integer m
-    (see the module docstring): 257 of each at grid 17 and 401 at grid 21,
-    instead of 2601 and 4851 (t, pair) combinations.  If the section bound
-    stays within the tolerance the pass is returned as the sweep would give
-    it: ``worst_violation`` 0.0, the same ``tol``, ``samples_checked`` and
-    message.  Otherwise the sweep compares every configuration, evaluating f
-    at ``len(t) * len(ux) * grid(grid+1)/2`` points, one table per k, and
-    gathers each left side from it; its verdict, worst violation and witness
-    are the certificate.
-    :func:`_deficits` forms every deficit of both in one workspace per call,
-    in blocks within ``_BLOCK_BYTES``, and ``grid`` is at most
+    First the sections bound every row (t, abscissa pair) of deficits
+    (:func:`_row_bounds`), f evaluated on the distinct combination abscissas
+    times ordinates: lattice points a + (b-a)*m/(grid-1)^2 with an integer m
+    (see the module docstring), 257 of each at grid 17.  No bound above the
+    tolerance is the pass the full sweep would give.  Otherwise the row of
+    the largest bound is swept, then the other rows whose bounds reach its
+    worst deficit (ties included), f evaluated per k at their abscissas; the
+    worst configuration, first in (t, k, pair, pair) order, and so the
+    certificate are the full sweep's.  Where f fails in the sections, every
+    row is swept, raising as the full sweep does.
+    :func:`_deficits` forms every deficit in one workspace per call, in
+    blocks within ``_BLOCK_BYTES``, and ``grid`` is at most
     :data:`MAX_GRID`, so memory stays bounded.
     """
     if not 3 <= grid <= MAX_GRID:
@@ -517,43 +493,67 @@ def check_coordinate_h_convex(
     # in anew; a row holds at least one t of all pairs, at most every t.
     size = max(npair, min(_BLOCK_BYTES // 8, nt * npair * max(ux.size, npair)))
     work = np.empty((2, size))
-    # A pass that the section bound settles needs no sweep.  The diagonal
-    # pairs put every grid abscissa on the lattice, at m = (g-1)*i.
-    gx = np.searchsorted(um, (g - 1) * np.arange(g))
-    settled_tol = _section_test(checked, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work)
-    if settled_tol is not None:
-        return _pass_certificate(samples, settled_tol, g)
-    # The table of one k is split into nq equal chunks of ordinate pairs
-    # that fit the budget; the blocks (t, abscissa pair, ordinate pair) split t.
-    nq = -(-npair // max(1, size // max(ux.size, npair)))
-    qc = -(-npair // nq)
-
     max_abs_f = float(np.abs(F).max())
-    worst = -math.inf
-    worst_idx = None
-    for k in range(nt):
-        # Ordinate half of the right side, shared by every t:
-        # G[i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q].
-        G = ht[k] * F[:, i1] + hmt[k] * F[:, i2]
-        for q0 in range(0, npair, qc):
-            qs = slice(q0, q0 + qc)
-            Lk = _sample_2d(checked, ux, uy[IX[k, qs]], "function value at a combination point")
-            max_abs_f = max(max_abs_f, -float(Lk.min()), float(Lk.max()))
-            for t0, D in _deficits(Lk, IX, ht, hmt, G[i1, qs], G[i2, qs], work):
-                m = float(D.max())
-                # Ties go to the first configuration in (t, k, pair, pair)
-                # order, so the witness does not depend on blocks;
-                # (t0, k, 0, q0) is the first of this block.
-                if (worst_idx is None or m > worst
-                        or (m == worst and (t0, k, 0, q0) < worst_idx)):
-                    it, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
-                    idx = (t0 + int(it), k, int(ip), q0 + int(iq))
-                    if worst_idx is None or m > worst or idx < worst_idx:
-                        worst, worst_idx = m, idx
+    best = [-math.inf, None]  # the worst deficit and its (t, k, pair, pair)
+
+    def sweep(live):
+        """Compare every configuration of the rows (t, abscissa pair) where
+        ``live`` holds, f evaluated only at their abscissas; the t whose
+        rows have the same pairs form one group of blocks."""
+        nonlocal max_abs_f
+        if not live.any():
+            return
+        cols, groups = np.unique(IX[live]), {}
+        for t in np.flatnonzero(live.any(axis=1)):
+            groups.setdefault(live[t].tobytes(), []).append(t)
+        groups = [(ts, ps, np.searchsorted(cols, IX[np.ix_(ts, ps)])) for ts, ps in
+                  ((np.array(ts), np.flatnonzero(live[ts[0]])) for ts in groups.values())]
+        # Equal chunks of a k's ordinate pairs, each table within the budget.
+        nq = -(-npair // max(1, size // max(cols.size, npair)))
+        qc = -(-npair // nq)
+        for k in range(nt):
+            # Ordinate half of the right side, shared by every t:
+            # G[i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q].
+            G = ht[k] * F[:, i1] + hmt[k] * F[:, i2]
+            for q0 in range(0, npair, qc):
+                qs = slice(q0, q0 + qc)
+                Lk = _sample_2d(checked, ux[cols], uy[IX[k, qs]],
+                                "function value at a combination point")
+                max_abs_f = max(max_abs_f, -float(Lk.min()), float(Lk.max()))
+                for ts, ps, rows in groups:
+                    for t0, D in _deficits(Lk, rows, ht[ts], hmt[ts], G[i1[ps], qs],
+                                           G[i2[ps], qs], work):
+                        m = float(D.max())
+                        # Ties go to the first configuration in (t, k, pair,
+                        # pair) order, whatever the blocks and groups.
+                        if best[1] is None or m >= best[0]:
+                            it, ip, iq = np.unravel_index(int(np.argmax(D)), D.shape)
+                            idx = (int(ts[t0 + it]), k, int(ps[ip]), q0 + int(iq))
+                            if best[1] is None or m > best[0] or idx < best[1]:
+                                best[:] = m, idx
+
+    # The diagonal pairs put every grid abscissa on the lattice, at m = (g-1)*i.
+    gx = np.searchsorted(um, (g - 1) * np.arange(g))
+    bounds = _row_bounds(checked, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work)
+    if bounds is None:  # every row can hold the witness
+        sweep(np.ones(IX.shape, dtype=bool))
+    else:
+        # Only a row whose bound exceeds the tolerance and reaches the worst
+        # deficit of the row of the largest bound can hold the witness.
+        U, max_abs_f = bounds
+        live = U > _tolerance(tol, max_abs_f)  # none live: a pass, no sweep
+        first = np.zeros_like(live)
+        first.flat[np.argmax(U)] = live.any()
+        sweep(first)
+        sweep(live & (U >= best[0]) & ~first)
 
     tol = _tolerance(tol, max_abs_f)
+    worst, worst_idx = best
     if worst <= tol:
-        return _pass_certificate(samples, tol, g)
+        return ConvexityCertificate(
+            verdict="pass", samples_checked=samples, worst_violation=0.0, tol=tol, grid=g,
+            message=(f"no violation found on {samples} sampled configurations "
+                     f"(grid {g} per axis); sampled check only, not a proof"))
     it, ik, p, q = worst_idx
     witness = (float(tg[it]), float(tg[ik]),
                (float(xg[i1[p]]), float(yg[i1[q]])), (float(xg[i2[p]]), float(yg[i2[q]])))

@@ -416,12 +416,24 @@ class TestCertifierKernel:
         assert sum(points[1:]) == sections
         assert sections < sweep < nt**2 * npair**2  # every canonical pair
 
-    def test_a_fail_evaluates_the_sections_then_the_sweep(self):
-        # concave in x where exp(x+y) < 6: the section bound cannot settle it
+    def test_a_fail_evaluates_the_sections_then_the_rows_that_can_hold_the_witness(
+            self, monkeypatch):
+        # concave in x where exp(x+y) < 6: the bounds per t cannot settle
+        # it, so the sections are walked again for each row's own bound
+        calls = record_sections(monkeypatch)
         cert, points, sections, sweep = self.count_points(HWeight.identity(), 3.0)
         assert cert.verdict == "fail"
+        (*_, IX, _, _, _, _), (U, _) = calls[0]
+        live = (U >= cert.worst_violation) & (U > cert.tol)
+        first = np.unravel_index(np.argmax(U), U.shape)
+        assert live[first] and live.sum() == 1
+        live[first] = False
+        # one abscissa per k for the row of the largest bound, then the
+        # abscissas of the other rows that reach its worst deficit
+        swept = 7 * 28 * (1 + np.unique(IX[live]).size)
         assert points[0] == 7 * 7
-        assert sum(points[1:-5]) == sections + sweep
+        assert sum(points[1:-5]) == 2 * sections + swept
+        assert swept < sweep / 5
         assert points[-5:] == [1] * 5  # the witness re-evaluated point by point
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -473,40 +485,66 @@ NON_DYADIC = Rectangle.from_bounds(0.3, 1.7, -0.9, 2.3)
 
 
 def sweep_only(monkeypatch):
-    """Make the section test inconclusive, so every certificate comes from
-    the sweep."""
-    monkeypatch.setattr(hweights, "_section_test", lambda *args: None)
+    """Take the row bounds away, as when f fails in the sections, so every
+    row is swept and every certificate comes from the full sweep."""
+    monkeypatch.setattr(hweights, "_row_bounds", lambda *args: None)
 
 
 def record_sections(monkeypatch):
-    """Record what each section test returned: a tolerance if it settled
-    the certificate, else None."""
-    settled = []
-    real = hweights._section_test
+    """Record the arguments of each call of the row bounds and what it
+    returned: the bounds U[t, pair] and max |f|, or None."""
+    calls = []
+    real = hweights._row_bounds
 
     def spy(*args):
-        settled.append(real(*args))
-        return settled[-1]
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(hweights, "_section_test", spy)
-    return settled
+    monkeypatch.setattr(hweights, "_row_bounds", spy)
+    return calls
+
+
+def is_settled(call):
+    """Whether a recorded call's bounds left no row above the tolerance, so
+    the certificate is a pass without a sweep."""
+    args, bounds = call
+    return (bounds is not None
+            and bounds[0].max() <= hweights._tolerance(args[-2], bounds[1]))
+
+
+#: Sources whose certificates the pruned sweep must reproduce: convex, the
+#: fails of the benchmark (bump, dip), many exact ties (x^2+y^2 concave) and
+#: a saddle.
+MATRIX_SOURCES = [
+    "exp(x+y)", "2+sin(5*x*y)", "x^2", "3", "x^2+y^2", "(x-0.5)^2-(y-0.5)^2+2",
+    "x^2+y^2+0.437*sin(3.141592653589793*x)*sin(3.141592653589793*y)",
+    "x*y-0.3*(x-0.5)^2",
+]
 
 
 class TestSectionTest:
     @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
     @pytest.mark.parametrize("direction", ["convex", "concave"])
     @pytest.mark.parametrize("weight", sorted(WEIGHTS))
-    @pytest.mark.parametrize("src", ["exp(x+y)", "2+sin(5*x*y)", "x^2", "3"])
+    @pytest.mark.parametrize("src", MATRIX_SOURCES)
     def test_changes_no_certificate(self, monkeypatch, src, weight, direction, rect):
-        # tol 0 and 1e-13 leave the rounding margin no slack
+        # tol 0 and 1e-13 leave the rounding margin no slack.  Grid 17, the
+        # benchmark's, runs on its unit square at the default tolerance only,
+        # as each full sweep there costs several pruned certificates.
         h = WEIGHTS[weight][0]
         f = parse_function_spec(src)
-        cases = [(g, tol) for g in (5, 7, 9) for tol in (None, 0.0, 1e-13)]
+        cases = [(g, tol) for g in (5, 9) for tol in (None, 0.0, 1e-13)]
+        cases += [(17, None)] if rect is UNIT_SQ else []
 
         def run():
-            return [check_coordinate_h_convex(f, h, rect, grid=g, tol=tol,
-                                              direction=direction)
-                    for g, tol in cases]
+            certs = []
+            for g, tol in cases:
+                try:
+                    certs.append(check_coordinate_h_convex(f, h, rect, grid=g, tol=tol,
+                                                           direction=direction))
+                except (DomainError, EvaluationDomainError) as exc:
+                    certs.append(repr(exc))  # f < 0, or a power of a negative ordinate
+            return certs
 
         with_sections = run()
         sweep_only(monkeypatch)
@@ -531,7 +569,7 @@ class TestSectionTest:
     def test_a_settled_pass_passes_every_configuration(self, monkeypatch, weight,
                                                        direction):
         h, hf = WEIGHTS[weight]
-        settled = record_sections(monkeypatch)
+        calls = record_sections(monkeypatch)
         sources = ["x*y", "exp(x+y)", "x^2", "3", "2+sin(5*x*y)", "x^2*y^2",
                    "0-x^2-y^2", "x^0.5+y^0.5", "1+x^0.5*y^0.5"]
         for src, rect, g in itertools.product(sources, (UNIT_SQ, NON_DYADIC), (5, 7)):
@@ -540,25 +578,84 @@ class TestSectionTest:
                 cert = check_coordinate_h_convex(f, h, rect, grid=g, direction=direction)
             except (DomainError, EvaluationDomainError):
                 continue  # f < 0, or a power of a negative ordinate
-            if settled[-1] is None:
+            if not is_settled(calls[-1]):
                 continue
             worst, tol = brute_force_certificate(f, hf, g, h.finite_at_endpoints,
                                                  direction, rect)
             assert cert.passed and cert.tol == pytest.approx(tol, rel=1e-12)
             assert worst <= tol, (src, rect, g)
-        assert any(s is not None for s in settled)
+        assert any(is_settled(c) for c in calls)
 
-    def test_bound_clamps_a_negative_y_deficit(self):
-        # h(t) = sqrt(t): h(t) + h(1-t) is 1 at t = 0 and sqrt(2) at t = 1/2,
-        # so the deficits d1 + (h(t) + h(1-t)) d2 peak where the sum is least
-        ts = np.linspace(0.0, 1.0, 9)
-        hs = np.sqrt(ts) + np.sqrt(1.0 - ts)
-        d1, d2 = 1.0, -0.5
-        deficits = d1 + hs * d2
-        hsum = float(hs.max())
-        assert d1 + hsum * d2 < deficits.max()  # unclamped, it under-bounds
-        assert hweights._section_bound(d1, d2, hsum, 1.0) >= deficits.max()
-        assert hweights._section_bound(d1, d2, hsum, 1.0) >= d1
+    @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    def test_every_row_bound_holds(self, monkeypatch, weight, direction, rect):
+        # Every deficit of a row (t, pair), as the sweep computes it, is at
+        # most the row's bound.  Where h(t) + h(1-t) varies with t (power,
+        # Godunova-Levin, table) and the deficits in y are negative, a bound
+        # that weighs them with the largest sum instead of h(t) falls short.
+        h = WEIGHTS[weight][0]
+        calls = record_sections(monkeypatch)
+        peak = "exp(0-50*(x-0.5)^2-50*(y-0.5)^2)"  # fails for every weight
+        for src, g in itertools.product(MATRIX_SOURCES + [peak], (5, 9)):
+            try:
+                check_coordinate_h_convex(parse_function_spec(src), h, rect, grid=g,
+                                          direction=direction)
+            except (DomainError, EvaluationDomainError):
+                continue  # f < 0, or a power of a negative ordinate
+            (f, F, _, i1, i2, ux, uy, IX, ht, hmt, _, _), (U, _) = calls[-1]
+            # D[t, p, k, q] = L - (h(t) G[k, x_p, q] + h(1-t) G[k, y_p, q]),
+            # G[k, i, q] = h(k) F[i, u_q] + h(1-k) F[i, w_q]
+            L = fracquad._sample_2d(f, ux, uy)[IX[:, :, None, None], IX[None, None]]
+            G = ht[:, None, None] * F[:, i1] + hmt[:, None, None] * F[:, i2]
+            G1, G2 = G[:, i1].transpose(1, 0, 2)[None], G[:, i2].transpose(1, 0, 2)[None]
+            D = L - (ht[:, None, None, None] * G1 + hmt[:, None, None, None] * G2)
+            assert (D.max(axis=(2, 3)) <= U).all(), (src, g)
+        assert not all(is_settled(c) for c in calls)  # the bounds per row
+
+    @pytest.mark.parametrize("f, rows", [
+        (lambda x, y: x * x + y * y + 0.437 * np.sin(np.pi * x) * np.sin(np.pi * y), 34),
+        (lambda x, y: x * y - 0.3 * (x - 0.5) ** 2, 1),
+    ], ids=["bump", "dip"])
+    def test_a_fail_at_grid_17_sweeps_only_the_rows_that_can_hold_the_witness(
+            self, monkeypatch, f, rows):
+        # The fails of the benchmark: of 2,601 rows, only those whose bound
+        # reaches the worst deficit are swept.  Each holds the combination
+        # abscissa 1/2, so the sweep evaluates f at that one abscissa per k:
+        # once for the row of the largest bound, once for the others.
+        calls = record_sections(monkeypatch)
+        shapes = []
+
+        def record(x, y):
+            shapes.append((np.unique(x).tolist(), np.broadcast(x, y).shape))
+            return f(x, y)
+
+        cert = check_coordinate_h_convex(record, HWeight.identity(), UNIT_SQ, grid=17)
+        assert cert.verdict == "fail"
+        (*_, IX, _, _, _, _), (U, _) = calls[0]
+        live = (U >= cert.worst_violation) & (U > cert.tol)
+        assert live.sum() == rows and U.size == 2601
+        sweeps = 2 if rows > 1 else 1
+        assert shapes[-5 - 17 * sweeps:-5] == [([0.5], (1, 153))] * 17 * sweeps
+
+    @pytest.mark.parametrize("src, weight, direction", [
+        ("x*(1-x)*y*(1-y)", "one", "convex"),
+        ("x*(1-x)*y*(1-y)", "power:0.5", "convex"),
+        ("x^2+y^2+4*x*(1-x)*y*(1-y)", "identity", "concave"),
+    ])
+    def test_rows_that_tie_the_worst_deficit_are_swept(self, monkeypatch, src, weight,
+                                                       direction):
+        # Without the rounding margin, exact dyadic arithmetic makes bounds
+        # equal the worst deficit, and the tie's first configuration lies in
+        # a row other than the one of the largest bound.
+        monkeypatch.setattr(hweights, "_EPS", 0.0)
+        f, h = parse_function_spec(src), WEIGHTS[weight][0]
+        pruned = [check_coordinate_h_convex(f, h, UNIT_SQ, grid=g, direction=direction)
+                  for g in (5, 9)]
+        sweep_only(monkeypatch)
+        assert pruned == [check_coordinate_h_convex(f, h, UNIT_SQ, grid=g,
+                                                    direction=direction)
+                          for g in (5, 9)]
 
     @pytest.mark.parametrize("g", [4, 5, 7])
     @pytest.mark.parametrize("rect", [UNIT_SQ, NON_DYADIC], ids=["unit", "non-dyadic"])
@@ -577,9 +674,9 @@ class TestSectionTest:
 
             return check_coordinate_h_convex(f, h, rect, grid=g), points
 
-        settled = record_sections(monkeypatch)
+        calls = record_sections(monkeypatch)
         cert, with_sections = evaluated()
-        assert cert.passed and settled[0] is not None
+        assert cert.passed and is_settled(calls[0])
         sweep_only(monkeypatch)
         assert evaluated() == (cert, with_sections)
 
@@ -611,7 +708,7 @@ class TestSectionTest:
     def test_memory_of_a_settled_pass_is_bounded_by_the_block_budget(self, monkeypatch):
         budget = 1 << 20
         monkeypatch.setattr(hweights, "_BLOCK_BYTES", budget)
-        settled = record_sections(monkeypatch)
+        calls = record_sections(monkeypatch)
         tracemalloc.start()
         try:
             cert = check_coordinate_h_convex(builtin_function("quadratic"),
@@ -619,7 +716,7 @@ class TestSectionTest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cert.passed and settled[0] is not None
+        assert cert.passed and is_settled(calls[0])
         # T alone, f over 1,522 x 1,522 distinct abscissas and ordinates,
         # would take 18.5 MB
         assert peak < 8 * budget
@@ -700,7 +797,7 @@ class TestLattice:
             raise Stop
 
         monkeypatch.setattr(hweights, "h_eval", record_t)
-        monkeypatch.setattr(hweights, "_section_test", stop)
+        monkeypatch.setattr(hweights, "_row_bounds", stop)
         with pytest.raises(Stop):
             check_coordinate_h_convex(lambda x, y: x * x + y * y, h, UNIT_SQ, grid=g)
         j = range(g) if h.finite_at_endpoints else range(1, g - 1)
