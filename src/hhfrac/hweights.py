@@ -26,13 +26,12 @@ and every grid abscissa is a combination abscissa (of the pair x = y).
 Few configurations need comparing.  With v = k*u + (1-k)*w each deficit
 splits exactly into the deficit in x of the section f(., v) plus h(t) and
 h(1-t) times deficits in y of the sections f(x, .) at grid abscissas (the
-partial-mapping form of coordinate convexity), so the sections bound every
+partial-mapping form of coordinate convexity), so the sections bound each
 row (t, abscissa pair) of deficits.  No bound above the tolerance is a pass;
-otherwise only the rows whose bounds reach the worst deficit found are
-swept, which locates the witness the sweep of every configuration would.
-One kernel forms every deficit, in blocks of a fixed byte size in one
-workspace per call, and the grid is at most :data:`MAX_GRID`, so memory
-stays bounded.  The concave check is the convex check of -f.
+otherwise only the rows whose bounds reach the worst deficit found are swept,
+and the witness is the full sweep's.  One kernel forms every deficit, in
+blocks of a fixed byte size, and the grid is at most :data:`MAX_GRID`, so
+memory stays bounded.  The concave check is the convex check of -f.
 """
 
 from __future__ import annotations
@@ -241,14 +240,14 @@ def parse_hweight(text: str) -> HWeight:
 #: Size bound of one float64 block of the certifier's sweep.  A few blocks
 #: are alive at once (the table of left sides, the two block buffers, the two
 #: gathered halves of the right side and the evaluator's temporaries), so
-#: peak memory is a small multiple of it at any grid.  A chunk of sections
-#: holds 4 ordinates at grid 64, so per-row maxima take most of a fail there.
+#: peak memory is a small multiple of it at any grid.  A chunk of the
+#: sections' table holds 52 ordinates at grid 17 and 4 at grid 64.
 _BLOCK_BYTES = 1 << 18
 
 #: Largest ``grid`` the certifier accepts.  A few of its arrays hold
-#: O(grid^3) values, 1-2 MB each at 64.  On 2 vCPUs a pass takes about 1.3 s
-#: at 64; a bump fails in 0.16 s at 33 and 7.6 s at 64, where sweeping every
-#: (t, pair) row took 1.0 s and 46 s.
+#: O(grid^3) values, 1-2 MB each at 64.  On 2 vCPUs a pass takes about 1.0 s
+#: at 64; a bump fails in 0.2 s at 33 and 3.7 s at 64, where sweeping every
+#: (t, pair) row took 0.8 s and 47 s.
 MAX_GRID = 64
 
 
@@ -360,52 +359,58 @@ def _row_bounds(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
     *Accuracy and Stability of Numerical Algorithms*, Sec. 3.1).  The sweep
     and d2 share G bit for bit.  The first-order terms, in units of u*S, are:
     the sweep's h(t)G1 + h(1-t)G2 and its subtraction from the left side,
-    1 + 3HK; the computed d1, 1 + 3H; the two d2 weighted, H(1 + K); and the
-    four operations of U, 4(1 + 2H + HK).  In all at most 8(1 + K)^2 u S; the
-    margin's factor 8 on eps leaves room for the second-order terms and for
-    one rounding unit between two evaluations of f at the same point.
+    1 + 3HK; the computed d1, 1 + 3H; the two d2 weighted, H(1 + K); the four
+    operations of U, 4(1 + 2H + HK).  In all at most 8(1 + K)^2 u S; a factor
+    8 on eps leaves room for second-order terms and for one rounding unit
+    between two evaluations of f at the same point.
 
-    T = f(ux, v) is evaluated at the sweep's own lattice abscissas ``ux`` and
-    ordinates ``uy``, in chunks of ordinates within ``_BLOCK_BYTES``, so it
-    holds exactly the sweep's left sides and max |f| over F and T is the
-    sweep's; its rows ``gx`` at the grid abscissas give f(x_i, v) for d2.
-    A first walk over T takes the largest d1 of each t, which settles most
-    passes; a second takes each row's own where a bound exceeds the tolerance.
+    A first walk takes the largest d1 of each t, which settles most passes,
+    from T = f(ux, v) at the sweep's lattice abscissas and ordinates in
+    chunks of ordinates within ``_BLOCK_BYTES``: T holds the sweep's left
+    sides, so max |f| over F and T is the sweep's, and its rows ``gx`` give
+    f(x_i, v).  A second takes each row's own, for the t whose bounds exceed
+    the tolerance only, with f at their abscissas only.
     """
     g, npair, size = gx.size, i1.size, work.shape[1]
-    # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
-    # evaluation holds a few temporaries of its size.
-    nv = -(-uy.size // max(1, size // (2 * max(ux.size, npair))))
-    vc = -(-uy.size // nv)
-    Fx = np.empty((uy.size, g))  # Fx[v, i] = f(x_i, v)
+    Fx = np.empty((g, uy.size))  # Fx[i, v] = f(x_i, v)
     max_abs_f = float(np.abs(F).max())
+    U, ts, cols, rows = np.empty(IX.shape), slice(None), slice(None), IX  # every t and abscissa
     for second in (False, True):
-        d1 = np.full((ht.size, npair if second else 1), -math.inf)  # the largest over v
+        # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
+        # evaluation holds a few temporaries of its size.
+        nv = -(-uy.size // max(1, size // (2 * max(ux[cols].size, npair))))
+        vc = -(-uy.size // nv)
+        d1 = np.full((len(ht[ts]), npair if second else 1), -math.inf)  # the largest over v
         for v0 in range(0, uy.size, vc):
+            vs = slice(v0, v0 + vc)
             try:
-                T = _sample_2d(f, ux, uy[v0:v0 + vc])
+                T = _sample_2d(f, ux[cols], uy[vs])
             except HHFracError:  # the sweep evaluates f again and raises there
                 return None
-            max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
-            Fx[v0:v0 + vc] = T[gx].T
-            for j0, D in _deficits(T, IX, ht, hmt, T[gx[i1]], T[gx[i2]], work):
-                # reduceat's one segment costs half of max(axis=-1) on rows this short
-                top = (np.maximum.reduceat(D, [0], axis=-1)[..., 0] if second
+            if not second:
+                max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
+                Fx[:, vs] = T[gx]
+            for j0, D in _deficits(T, rows, ht[ts], hmt[ts], Fx[i1, vs], Fx[i2, vs], work):
+                # v first, the max over v is elementwise: 1.7x-17x max(axis=-1)'s speed
+                top = (np.moveaxis(D, -1, 0).copy().max(axis=0) if second
                        else D.max(axis=(1, 2))[:, None])
                 np.maximum(d1[j0:j0 + len(D)], top, out=d1[j0:j0 + len(D)])
         if not second:
             # d2[k, q, i] = f(x_i, v_kq) - (h(k) F[i, u_q] + h(1-k) F[i, w_q])
-            d2 = np.full(g, -math.inf)  # the largest over (k, q)
+            d2, Fv = np.full(g, -math.inf), Fx.T.copy()  # the largest over (k, q); Fv[v, i]
             qc = max(1, size // g)  # ordinate pairs per block
             for q0 in range(0, npair, qc):
                 qs = slice(q0, q0 + qc)
-                for _, D in _deficits(Fx, IX[:, qs], ht, hmt, F.T[i1[qs]], F.T[i2[qs]], work):
+                for _, D in _deficits(Fv, IX[:, qs], ht, hmt, F.T[i1[qs]], F.T[i2[qs]], work):
                     # one axis at a time is several times faster than (0, 1)
                     np.maximum(d2, D.max(axis=0).max(axis=0), out=d2)
-        margin = 8.0 * _EPS * (1.0 + max_abs_f) * (1.0 + float((ht + hmt).max())) ** 2
-        U = d1 + ht[:, None] * d2[i1] + hmt[:, None] * d2[i2] + margin
-        if second or not U.max() > _tolerance(tol, max_abs_f):
+            margin = 8.0 * _EPS * (1.0 + max_abs_f) * (1.0 + float((ht + hmt).max())) ** 2
+        U[ts] = d1 + ht[ts, None] * d2[i1] + hmt[ts, None] * d2[i2] + margin
+        ts = np.flatnonzero(U.max(axis=1) > _tolerance(tol, max_abs_f))
+        if second or not ts.size:
             break
+        cols = np.flatnonzero(np.bincount(IX[ts].ravel()))  # the distinct abscissas
+        rows = np.searchsorted(cols, IX[ts])
     return (U, max_abs_f) if np.isfinite(U).all() else None
 
 
@@ -436,18 +441,15 @@ def check_coordinate_h_convex(
     grid^4``.
 
     First the sections bound every row (t, abscissa pair) of deficits
-    (:func:`_row_bounds`), f evaluated on the distinct combination abscissas
-    times ordinates: lattice points a + (b-a)*m/(grid-1)^2 with an integer m
-    (see the module docstring), 257 of each at grid 17.  No bound above the
-    tolerance is the pass the full sweep would give.  Otherwise the row of
-    the largest bound is swept, then the other rows whose bounds reach its
-    worst deficit (ties included), f evaluated per k at their abscissas; the
-    worst configuration, first in (t, k, pair, pair) order, and so the
-    certificate are the full sweep's.  Where f fails in the sections, every
-    row is swept, raising as the full sweep does.
-    :func:`_deficits` forms every deficit in one workspace per call, in
-    blocks within ``_BLOCK_BYTES``, and ``grid`` is at most
-    :data:`MAX_GRID`, so memory stays bounded.
+    (:func:`_row_bounds`), f evaluated at the distinct combination points,
+    lattice points a + (b-a)*m/(grid-1)^2 with integer m (see the module
+    docstring), 257 per axis at grid 17.  No bound above the tolerance is the
+    full sweep's pass.  Otherwise the rows of the largest bound are swept,
+    then the other rows whose bounds reach their worst deficit (ties
+    included), f evaluated per k at their abscissas; the worst configuration,
+    first in (t, k, pair, pair) order, is the full sweep's.  Where f fails in
+    the sections, every row is swept, raising as the full sweep does.  Every
+    deficit is formed by :func:`_deficits`, in blocks within ``_BLOCK_BYTES``.
     """
     if not 3 <= grid <= MAX_GRID:
         raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
@@ -484,9 +486,10 @@ def check_coordinate_h_convex(
     # m = j*i1 + (g-1-j)*i2, and likewise for ordinates.  Few m are distinct,
     # so for each k, f fills a table over (distinct abscissa, ordinate pair),
     # and every left side is gathered from it: L[t, p, q] = table[IX[t, p], q].
-    um, IX = np.unique(tj[:, None] * i1 + (g - 1 - tj)[:, None] * i2,
-                       return_inverse=True)
-    IX = IX.reshape(nt, npair)
+    # Bincounts rank m 3x as fast as np.unique, whose plain form imports numpy.ma.
+    m = tj[:, None] * i1 + (g - 1 - tj)[:, None] * i2
+    seen = np.bincount(m.ravel()) > 0
+    um, IX = np.flatnonzero(seen), np.cumsum(seen)[m] - 1
     ux, uy = _lattice(rect.a, rect.b, xg, um), _lattice(rect.c, rect.d, yg, um)
     samples = len(tg) ** 2 * g**4
     # Two block rows for the whole call, else each block would be faulted
@@ -497,13 +500,12 @@ def check_coordinate_h_convex(
     best = [-math.inf, None]  # the worst deficit and its (t, k, pair, pair)
 
     def sweep(live):
-        """Compare every configuration of the rows (t, abscissa pair) where
-        ``live`` holds, f evaluated only at their abscissas; the t whose
-        rows have the same pairs form one group of blocks."""
+        """Compare every configuration of the rows (t, abscissa pair) in
+        ``live``, f only at their abscissas; t with equal rows share blocks."""
         nonlocal max_abs_f
         if not live.any():
             return
-        cols, groups = np.unique(IX[live]), {}
+        cols, groups = np.flatnonzero(np.bincount(IX[live])), {}
         for t in np.flatnonzero(live.any(axis=1)):
             groups.setdefault(live[t].tobytes(), []).append(t)
         groups = [(ts, ps, np.searchsorted(cols, IX[np.ix_(ts, ps)])) for ts, ps in
@@ -538,14 +540,12 @@ def check_coordinate_h_convex(
     if bounds is None:  # every row can hold the witness
         sweep(np.ones(IX.shape, dtype=bool))
     else:
-        # Only a row whose bound exceeds the tolerance and reaches the worst
-        # deficit of the row of the largest bound can hold the witness.
+        # Only rows above the tolerance that reach the top rows' worst deficit count.
         U, max_abs_f = bounds
         live = U > _tolerance(tol, max_abs_f)  # none live: a pass, no sweep
-        first = np.zeros_like(live)
-        first.flat[np.argmax(U)] = live.any()
-        sweep(first)
-        sweep(live & (U >= best[0]) & ~first)
+        if live.any():
+            sweep(U == U.max())
+            sweep(live & (U >= best[0]) & (U < U.max()))
 
     tol = _tolerance(tol, max_abs_f)
     worst, worst_idx = best
