@@ -170,6 +170,10 @@ class QuadratureSpec:
         if not 2 <= self.nodes_per_axis <= MAX_NODES_PER_AXIS:
             raise DomainError(f"nodes_per_axis must lie in [2, {MAX_NODES_PER_AXIS}], "
                               f"got {self.nodes_per_axis}")
+        if self.nodes_per_axis != int(self.nodes_per_axis):
+            raise DomainError(f"nodes_per_axis must be a whole number, got {self.nodes_per_axis}")
+        # the rules slice by it, so 64.0 is stored as 64
+        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
         if not self.target_rel_tol > 0.0:
             raise DomainError(f"target_rel_tol must be positive, got {self.target_rel_tol}")
         if self.target_rel_tol == math.inf:

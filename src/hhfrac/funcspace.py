@@ -3,6 +3,9 @@
 The expression language covers constants, the variables ``x`` and ``y``,
 ``+ - * / ^`` (with ``^`` right-associative and binding tighter than unary
 minus), parentheses, and the functions ``exp log sin cos sqrt abs pow``.
+An expression is a tree of three node kinds: :class:`Num`, :class:`Var` and
+:class:`Op`, an operator named by its symbol or function name.  The parser,
+the printer, the evaluator and the derivative all dispatch on that name.
 
 The mixed partial d^2 f / dx dy of a parsed function is its expression
 differentiated symbolically (:func:`_diff`; Griewank & Walther, *Evaluating
@@ -39,7 +42,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call", "Expression",
+    "Num", "Var", "Op", "Expression",
     "parse_expression", "parse_univariate", "format_expression", "evaluate",
     "mixed_partial", "BivariateFunction",
     "BUILTIN_NAMES", "builtin_function", "parse_function_spec",
@@ -61,53 +64,23 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
+class Op:
+    """An operator applied to ``args``.  ``op`` is a binary symbol of
+    :data:`_BINARY` (two args), ``"neg"`` (one) or a function name of
+    :data:`FUNCTIONS`, or ``"sign"``, which only derivatives hold.  Every
+    pass over an expression dispatches on ``op``."""
 
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Pow:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
+    op: str
     args: tuple["Expression", ...]
 
 
-Expression = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
+Expression = Union[Num, Var, Op]
 
 #: function name -> arity
 FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "pow": 2}
 
-#: binary operator -> (node type, binding power), for the parser and the printer
-_BINARY = {"+": (Add, 10), "-": (Sub, 10), "*": (Mul, 20), "/": (Div, 20), "^": (Pow, 30)}
+#: binary operator -> binding power, for the parser and the printer
+_BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PRECEDENCE = 25  # ^ binds tighter than unary minus: -x^2 == -(x^2)
 
 
@@ -187,13 +160,13 @@ class _Parser:
             tok = self.current
             if tok.kind != "op" or tok.text not in _BINARY:
                 break
-            cls, bp = _BINARY[tok.text]
+            bp = _BINARY[tok.text]
             if bp <= min_bp:
                 break
             self.advance()
             # '^' is right-associative: reenter at bp-1 so equal binding recurses.
-            right = self.expression(bp - 1 if cls is Pow else bp)
-            left = cls(left, right)
+            right = self.expression(bp - 1 if tok.text == "^" else bp)
+            left = Op(tok.text, (left, right))
         return left
 
     def prefix(self) -> Expression:
@@ -210,7 +183,7 @@ class _Parser:
             raise UnknownIdentifierError(tok.text, tok.offset)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.expression(_UNARY_PRECEDENCE))
+            return Op("neg", (self.expression(_UNARY_PRECEDENCE),))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.expression(0)
@@ -233,7 +206,7 @@ class _Parser:
                 tok.offset, ("')'",), f"{name_tok.text} takes {arity} argument(s)"
             )
         self.expect_op(")")
-        return Call(name_tok.text, tuple(args))
+        return Op(name_tok.text, tuple(args))
 
 
 def parse_expression(src: str, variables: tuple[str, ...] = ("x", "y")) -> Expression:
@@ -257,27 +230,25 @@ def parse_univariate(src: str) -> Expression:
 # pretty printer (round-trips through parse_expression)
 # ---------------------------------------------------------------------------
 
-_SYMBOL = {cls: (op, bp) for op, (cls, bp) in _BINARY.items()}
-
-
 def _fmt(e: Expression, ctx_bp: int) -> str:
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(_fmt(a, 0) for a in e.args)})"
-    if isinstance(e, Neg):
-        s = "-" + _fmt(e.operand, _UNARY_PRECEDENCE)
-        return f"({s})" if ctx_bp > _UNARY_PRECEDENCE else s
     if isinstance(e, _Shared):
         return _fmt(e.expr, ctx_bp)
-    op, cls_bp = _SYMBOL[type(e)]
-    if isinstance(e, Pow):
-        s = f"{_fmt(e.left, cls_bp)}{op}{_fmt(e.right, cls_bp - 1)}"
+    op, args = e.op, e.args
+    if op == "neg":
+        s = "-" + _fmt(args[0], _UNARY_PRECEDENCE)
+        return f"({s})" if ctx_bp > _UNARY_PRECEDENCE else s
+    bp = _BINARY.get(op)
+    if bp is None:
+        return f"{op}({', '.join(_fmt(a, 0) for a in args)})"
+    if op == "^":
+        s = f"{_fmt(args[0], bp)}^{_fmt(args[1], bp - 1)}"
     else:
-        s = f"{_fmt(e.left, cls_bp - 1)} {op} {_fmt(e.right, cls_bp)}"
-    return f"({s})" if ctx_bp >= cls_bp else s
+        s = f"{_fmt(args[0], bp - 1)} {op} {_fmt(args[1], bp)}"
+    return f"({s})" if ctx_bp >= bp else s
 
 
 def format_expression(e: Expression) -> str:
@@ -306,43 +277,46 @@ def _domain_check(ok: np.ndarray | np.bool_, node: Expression, what: str) -> Non
 
 
 #: The operators evaluated without a domain test.
-_PLAIN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-#: Every function of a ``Call`` but ``pow`` is numpy's function of its name;
-#: those with a domain are tested first.
+_PLAIN = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: Every function but ``pow`` is numpy's function of its name; those with a
+#: domain are tested first.
 _NUMPY_FUNCTIONS = frozenset(FUNCTIONS).difference(("pow",)).union(("sign",))
 _DOMAIN_TESTS = {"log": (operator.gt, "log of a non-positive value"),
                  "sqrt": (operator.ge, "sqrt of a negative value")}
 
 
 def _eval(e: Expression, env: dict):
+    """The value of ``e`` over the arrays of ``env``, by ``op``; ``^`` and
+    ``pow`` are one operation.  Operands are evaluated left first: the order
+    of domain errors and the use counts of :class:`_Shared` rely on it."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
         return env[e.name]
-    plain = _PLAIN.get(type(e))
-    if plain is not None:  # left first: domain-error order and _Shared counts rely on it
-        return plain(_eval(e.left, env), _eval(e.right, env))
-    if isinstance(e, Neg):
-        return -_eval(e.operand, env)
-    if isinstance(e, Div):
-        num, den = _eval(e.left, env), _eval(e.right, env)
-        _domain_check(den != 0, e, "division by zero")
-        return num / den
-    if isinstance(e, Pow) or (isinstance(e, Call) and e.func == "pow"):
-        base, expo = (e.left, e.right) if isinstance(e, Pow) else e.args
-        base, expo = _eval(base, env), _eval(expo, env)
-        _domain_check(~((base == 0) & (expo < 0)), e, "zero raised to a negative power")
-        out = np.power(base, expo)
-        _domain_check(~np.isnan(out), e, "negative base with fractional exponent")
-        return out
-    if isinstance(e, Call):
-        arg = _eval(e.args[0], env)
-        if e.func in _NUMPY_FUNCTIONS:
-            test = _DOMAIN_TESTS.get(e.func)
+    if isinstance(e, Op):
+        op, args = e.op, e.args
+        plain = _PLAIN.get(op)
+        if plain is not None:
+            return plain(_eval(args[0], env), _eval(args[1], env))
+        if op == "neg":
+            return -_eval(args[0], env)
+        if op == "/":
+            num, den = _eval(args[0], env), _eval(args[1], env)
+            _domain_check(den != 0, e, "division by zero")
+            return num / den
+        if op == "^" or op == "pow":
+            base, expo = _eval(args[0], env), _eval(args[1], env)
+            _domain_check(~((base == 0) & (expo < 0)), e, "zero raised to a negative power")
+            out = np.power(base, expo)
+            _domain_check(~np.isnan(out), e, "negative base with fractional exponent")
+            return out
+        arg = _eval(args[0], env)
+        if op in _NUMPY_FUNCTIONS:
+            test = _DOMAIN_TESTS.get(op)
             if test is not None:
                 _domain_check(test[0](arg, 0), e, test[1])
-            return getattr(np, e.func)(arg)  # looked up per call, so a patch of np is seen
-    if isinstance(e, _Shared):
+            return getattr(np, op)(arg)  # looked up per call, so a patch of np is seen
+    elif isinstance(e, _Shared):
         # The call's environment holds [value, uses left] from the first use
         # to the last.
         slot = env.get(e)
@@ -382,16 +356,8 @@ def _evaluate_univariate(expr: Expression, t):
     return float(out) if scalar else out
 
 
-def _operands(e: Expression) -> tuple:
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Neg):
-        return (e.operand,)
-    return () if isinstance(e, (Num, Var)) else (e.left, e.right)
-
-
 def _contains_abs(e: Expression) -> bool:
-    return getattr(e, "func", None) == "abs" or any(map(_contains_abs, _operands(e)))
+    return isinstance(e, Op) and (e.op == "abs" or any(map(_contains_abs, e.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +367,30 @@ def _contains_abs(e: Expression) -> bool:
 _ZERO, _ONE = Num(0.0), Num(1.0)
 
 
-def _fold(cls, a: Expression, b: Expression) -> Expression:
-    """``cls(a, b)`` with constants folded and the identities of 0 and 1
-    applied (a + 0, 0 * b, a / 1, a^0, ...); a constant that does not
-    evaluate (0 / 0) stays for :func:`evaluate` to report."""
+def _fold(op: str, a: Expression, b: Expression) -> Expression:
+    """``Op(op, (a, b))`` for a binary symbol ``op``, with constants folded
+    and the identities of 0 and 1 applied (a + 0, 0 * b, a / 1, a^0, ...); a
+    constant that does not evaluate (0 / 0) stays for :func:`evaluate` to
+    report."""
     # Constants are compared by value: == on a node is a Python-level call.
     if isinstance(b, Num):
         if isinstance(a, Num):
             try:
-                return Num(float(_eval_quiet(cls(a, b), {})))
+                return Num(float(_eval_quiet(Op(op, (a, b)), {})))
             except EvaluationDomainError:
-                return cls(a, b)
-        if b.value == 0.0 and cls in (Add, Sub) or b.value == 1.0 and cls in (Mul, Div, Pow):
+                return Op(op, (a, b))
+        if b.value == 0.0 and op in ("+", "-") or b.value == 1.0 and op in ("*", "/", "^"):
             return a
-        if b.value == 0.0 and cls in (Mul, Pow):
-            return _ZERO if cls is Mul else _ONE
+        if b.value == 0.0 and op in ("*", "^"):
+            return _ZERO if op == "*" else _ONE
     elif isinstance(a, Num):
-        if a.value == 0.0 and cls in (Mul, Div):
+        if a.value == 0.0 and op in ("*", "/"):
             return _ZERO
-        if a.value == 0.0 and cls in (Add, Sub):
-            return b if cls is Add else Neg(b)
-        if a.value == 1.0 and cls is Mul:
+        if a.value == 0.0 and op in ("+", "-"):
+            return b if op == "+" else Op("neg", (b,))
+        if a.value == 1.0 and op == "*":
             return b
-    return cls(a, b)
+    return Op(op, (a, b))
 
 
 def _diff(expr: Expression, var: str) -> Expression:
@@ -433,45 +400,43 @@ def _diff(expr: Expression, var: str) -> Expression:
     of ``var``) are dropped rather than evaluated, and constants are folded
     (:func:`_fold`), so ``x^0.5`` has the y-derivative ``0``, not
     ``0 * 0.5 * x^(-0.5)``, which cannot be evaluated at x = 0.  A power
-    whose exponent depends on ``var`` differentiates through ``log`` of its
-    base.
+    (``^`` or ``pow``) whose exponent depends on ``var`` differentiates
+    through ``log`` of its base.
     """
     def d(e: Expression) -> Expression:
         if isinstance(e, Num):
             return _ZERO
         if isinstance(e, Var):
             return _ONE if e.name == var else _ZERO
-        if isinstance(e, Neg):
-            return _fold(Sub, _ZERO, d(e.operand))
-        if isinstance(e, (Add, Sub)):
-            return _fold(type(e), d(e.left), d(e.right))
-        if isinstance(e, Mul):
-            return _fold(Add, _fold(Mul, d(e.left), e.right), _fold(Mul, e.left, d(e.right)))
-        if isinstance(e, Div):
-            u, v = e.left, e.right
-            return _fold(Sub, _fold(Div, d(u), v),
-                         _fold(Div, _fold(Mul, u, d(v)), _fold(Mul, v, v)))
-        if isinstance(e, Pow) or e.func == "pow":
-            u, w = (e.left, e.right) if isinstance(e, Pow) else e.args
-            du, dw = d(u), d(w)
-            if dw == _ZERO:
-                return _fold(Mul, _fold(Mul, w, _fold(Pow, u, _fold(Sub, w, _ONE))), du)
-            return _fold(Mul, e, _fold(Add, _fold(Mul, dw, Call("log", (u,))),
-                                       _fold(Div, _fold(Mul, w, du), u)))
-        if e.func == "sign":
+        op, u, v = e.op, e.args[0], e.args[-1]  # v is u for one operand
+        if op == "neg":
+            return _fold("-", _ZERO, d(u))
+        if op == "+" or op == "-":
+            return _fold(op, d(u), d(v))
+        if op == "*":
+            return _fold("+", _fold("*", d(u), v), _fold("*", u, d(v)))
+        if op == "/":
+            return _fold("-", _fold("/", d(u), v),
+                         _fold("/", _fold("*", u, d(v)), _fold("*", v, v)))
+        if op == "^" or op == "pow":
+            du, dv = d(u), d(v)
+            if dv == _ZERO:
+                return _fold("*", _fold("*", v, _fold("^", u, _fold("-", v, _ONE))), du)
+            return _fold("*", e, _fold("+", _fold("*", dv, Op("log", (u,))),
+                                       _fold("/", _fold("*", v, du), u)))
+        if op == "sign":
             return _ZERO
-        u = e.args[0]
-        if e.func == "log":
-            return _fold(Div, d(u), u)
-        if e.func == "sqrt":
-            return _fold(Div, d(u), _fold(Mul, Num(2.0), e))
+        if op == "log":
+            return _fold("/", d(u), u)
+        if op == "sqrt":
+            return _fold("/", d(u), _fold("*", Num(2.0), e))
         outer = {
             "exp": e,
-            "sin": Call("cos", (u,)),
-            "cos": Neg(Call("sin", (u,))),
-            "abs": Call("sign", (u,)),
-        }[e.func]
-        return _fold(Mul, outer, d(u))
+            "sin": Op("cos", (u,)),
+            "cos": Op("neg", (Op("sin", (u,)),)),
+            "abs": Op("sign", (u,)),
+        }[op]
+        return _fold("*", outer, d(u))
 
     return d(expr)
 
@@ -480,11 +445,12 @@ def _share(expr: Expression) -> Expression:
     """``expr`` as a DAG: structurally equal operator subexpressions become
     one node, wrapped in :class:`_Shared` where it has several parents.
 
-    A node is keyed on its type, its function name and its operands' keys,
-    where an operator's key is the identity of the first node seen with its
+    An operator is keyed on ``(op, *its operands' keys)``, where an
+    operator's key is the identity of the first node seen with its
     structure, so each object is keyed once (a structural hash would rehash
     every subtree at each level).  Only nodes whose operands changed are
-    rebuilt.  Leaves stay apart: sharing them saves no work.
+    rebuilt, as ``Op(op, new operands)``.  Leaves stay apart: sharing them
+    saves no work.
     """
     first, rep_of, parents, order = {}, {}, {}, []
 
@@ -495,12 +461,11 @@ def _share(expr: Expression) -> Expression:
             return e.name
         rep = rep_of.get(id(e))
         if rep is None:
-            ops = _operands(e)
-            keys = [key(o) for o in ops]
-            rep = first.setdefault((type(e), getattr(e, "func", None), *keys), e)
+            keys = [key(o) for o in e.args]
+            rep = first.setdefault((e.op, *keys), e)
             rep = rep_of[id(e)] = id(rep)
             if rep == id(e):
-                order.append((e, ops))
+                order.append(e)
                 for k in keys:
                     if type(k) is int:  # an operator operand
                         parents[k] = parents.get(k, 0) + 1
@@ -508,11 +473,10 @@ def _share(expr: Expression) -> Expression:
 
     root = key(expr)
     built = {}
-    for e, old in order:
+    for e in order:
+        old = e.args
         new = tuple([o if isinstance(o, (Num, Var)) else built[rep_of[id(o)]] for o in old])
-        node = e
-        if any(map(operator.is_not, new, old)):
-            node = Call(e.func, new) if isinstance(e, Call) else type(e)(*new)
+        node = Op(e.op, new) if any(map(operator.is_not, new, old)) else e
         uses = parents.get(id(e), 0)
         built[id(e)] = _Shared(node, uses) if uses > 1 else node
     return built[root] if type(root) is int else expr

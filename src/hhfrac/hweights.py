@@ -369,28 +369,28 @@ def _row_bounds(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
     chunks of ordinates within ``_BLOCK_BYTES``: T holds the sweep's left
     sides, so max |f| over F and T is the sweep's, and its rows ``gx`` give
     f(x_i, v).  A second takes each row's own, for the t whose bounds exceed
-    the tolerance only, with f at their abscissas only.
+    the tolerance only, from the same chunks of T evaluated again.
     """
     g, npair, size = gx.size, i1.size, work.shape[1]
     Fx = np.empty((g, uy.size))  # Fx[i, v] = f(x_i, v)
     max_abs_f = float(np.abs(F).max())
-    U, ts, cols, rows = np.empty(IX.shape), slice(None), slice(None), IX  # every t and abscissa
+    U, ts = np.empty(IX.shape), slice(None)  # every t
+    # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
+    # evaluation holds a few temporaries of its size.
+    nv = -(-uy.size // max(1, size // (2 * max(ux.size, npair))))
+    vc = -(-uy.size // nv)
     for second in (False, True):
-        # Equal chunks of ordinates; a chunk of T takes half the budget, as f's
-        # evaluation holds a few temporaries of its size.
-        nv = -(-uy.size // max(1, size // (2 * max(ux[cols].size, npair))))
-        vc = -(-uy.size // nv)
         d1 = np.full((len(ht[ts]), npair if second else 1), -math.inf)  # the largest over v
         for v0 in range(0, uy.size, vc):
             vs = slice(v0, v0 + vc)
             try:
-                T = _sample_2d(f, ux[cols], uy[vs])
+                T = _sample_2d(f, ux, uy[vs])
             except HHFracError:  # the sweep evaluates f again and raises there
                 return None
             if not second:
                 max_abs_f = max(max_abs_f, -float(T.min()), float(T.max()))
                 Fx[:, vs] = T[gx]
-            for j0, D in _deficits(T, rows, ht[ts], hmt[ts], Fx[i1, vs], Fx[i2, vs], work):
+            for j0, D in _deficits(T, IX[ts], ht[ts], hmt[ts], Fx[i1, vs], Fx[i2, vs], work):
                 # v first, the max over v is elementwise: 1.7x-17x max(axis=-1)'s speed
                 top = (np.moveaxis(D, -1, 0).copy().max(axis=0) if second
                        else D.max(axis=(1, 2))[:, None])
@@ -409,8 +409,6 @@ def _row_bounds(f, F, gx, i1, i2, ux, uy, IX, ht, hmt, tol, work):
         ts = np.flatnonzero(U.max(axis=1) > _tolerance(tol, max_abs_f))
         if second or not ts.size:
             break
-        cols = np.flatnonzero(np.bincount(IX[ts].ravel()))  # the distinct abscissas
-        rows = np.searchsorted(cols, IX[ts])
     return (U, max_abs_f) if np.isfinite(U).all() else None
 
 
@@ -453,6 +451,8 @@ def check_coordinate_h_convex(
     """
     if not 3 <= grid <= MAX_GRID:
         raise DomainError(f"grid must lie in [3, {MAX_GRID}], got {grid}")
+    if grid != int(grid):
+        raise DomainError(f"grid must be a whole number, got {grid}")
     _check_direction(direction)
     if tol is not None:
         _check_tol(tol, "tol")

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hhfrac import fracquad
+from hhfrac.certify import theorem1_chain
 from hhfrac.errors import DomainError, EvaluationError
 from hhfrac.fracquad import (
     Corner,
@@ -19,7 +20,7 @@ from hhfrac.fracquad import (
     frac_integral_2d,
     frac_integral_2d_with_estimate,
 )
-from hhfrac.funcspace import univariate_from_source
+from hhfrac.funcspace import parse_function_spec, univariate_from_source
 from hhfrac.quadrature import power_weighted_rule
 
 from oracles import brute_frac_2d
@@ -58,6 +59,13 @@ class TestDomainTypes:
         for rel_tol in (0.0, math.inf):
             with pytest.raises(DomainError):
                 QuadratureSpec(target_rel_tol=rel_tol)
+
+    def test_a_node_count_must_be_a_whole_number(self):
+        with pytest.raises(DomainError, match="nodes_per_axis must be a whole number, got 64.5"):
+            QuadratureSpec(nodes_per_axis=64.5)
+        f, order = parse_function_spec("x^2 + y^2"), FracOrder(0.5, 0.5)
+        assert (theorem1_chain(f, order, UNIT_SQ, spec=QuadratureSpec(nodes_per_axis=64.0))
+                == theorem1_chain(f, order, UNIT_SQ, spec=QuadratureSpec(nodes_per_axis=64)))
 
     def test_corner_sides(self):
         assert Corner.LOWER_LOWER.x_side is Side.LEFT

@@ -246,6 +246,14 @@ class TestCertifier:
             check_coordinate_h_convex(builtin_function("product"), HWeight.identity(),
                                       UNIT_SQ, grid=hweights.MAX_GRID + 1)
 
+    def test_grid_must_be_a_whole_number(self):
+        f, h = parse_function_spec("x^2 + y^2"), HWeight.identity()
+        with pytest.raises(DomainError, match="grid must be a whole number, got 9.7"):
+            check_coordinate_h_convex(f, h, UNIT_SQ, grid=9.7)
+        cert = check_coordinate_h_convex(f, h, UNIT_SQ, grid=9.0)
+        assert cert == check_coordinate_h_convex(f, h, UNIT_SQ, grid=9)
+        assert "(grid 9 per axis)" in cert.message
+
     def test_default_tolerance_scales_with_f(self):
         f = builtin_function("bilinear", 0.0, 0.0, 0.0, 1e6)
         cert = check_coordinate_h_convex(f, HWeight.identity(), UNIT_SQ, grid=5)
@@ -439,26 +447,34 @@ class TestCertifierKernel:
     def test_the_second_walk_evaluates_only_the_t_whose_bounds_exceed_the_tolerance(
             self, monkeypatch):
         # h(t) = sqrt(t) and a deeper bend: some t keep their bounds within
-        # the tolerance after the first walk, and the abscissas that only
-        # they combine are not evaluated again
+        # the tolerance after the first walk, and the second walk skips them
         calls = record_sections(monkeypatch)
-        abscissas = []
+        events = []  # ("f", abscissas) per call of f, ("d", h(t)) per call of _deficits
+        real = hweights._deficits
+
+        def deficits(table, rows, ht, *rest):
+            events.append(("d", ht.copy()))
+            return real(table, rows, ht, *rest)
 
         def f(x, y):
-            abscissas.append(np.unique(np.broadcast_to(x, np.broadcast(x, y).shape)))
+            events.append(("f", np.unique(np.broadcast_to(x, np.broadcast(x, y).shape))))
             return np.exp(x + y) + 5.0 * (x - x * x)
 
+        monkeypatch.setattr(hweights, "_deficits", deficits)
         cert = check_coordinate_h_convex(f, HWeight.power(0.5), UNIT_SQ, grid=7)
         assert cert.verdict == "fail"
-        (*_, ux, _, IX, _, _, _, _), (U, _) = calls[0]
-        # one chunk of sections per walk at grid 7: the grid, then both walks
-        first, second = abscissas[1:3]
-        assert first.tolist() == ux.tolist()
-        assert set(second.tolist()) < set(first.tolist())  # 33 of 37
-        # every row that can hold the witness has its own bound
-        rows = (U > cert.tol).any(axis=1)
-        assert set(ux[IX[rows]].ravel().tolist()) <= set(second.tolist())
-        assert not rows.all()
+        (*_, ux, _, IX, ht, _, _, _), (U, _) = calls[0]
+        # one chunk of sections per walk at grid 7: the grid, then both walks,
+        # each at every lattice abscissa
+        _, first, second = [i for i, (kind, _) in enumerate(events) if kind == "f"][:3]
+        assert events[first][1].tolist() == events[second][1].tolist() == ux.tolist()
+        kind, walked_ht = events[second + 1]
+        assert kind == "d"
+        walked = np.isin(ht, walked_ht)  # h(t) = sqrt(t) is one-to-one
+        assert walked.any() and not walked.all()
+        # every t skipped keeps its bound within the tolerance
+        assert U[~walked].max() <= cert.tol
+        assert walked[(U > cert.tol).any(axis=1)].all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("lo, hi, match", [

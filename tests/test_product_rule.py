@@ -493,13 +493,46 @@ class TestJobs:
         assert _sweep(capsys, *self.ARGS, "--jobs", "4") == serial
 
     def test_cli_import_leaves_out_the_thread_pool(self):
-        src = str(Path(funcspace.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
         probe = "import sys, hhfrac.cli; print('concurrent.futures' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "False"
+        assert _run_probe(probe) == "False"
+
+    def test_the_heavy_paths_leave_out_numpy_ma(self):
+        # numpy.ma costs 1.6 MB resident; np.unique without return_inverse
+        # imports it on its first call
+        probe = """
+import contextlib, io, sys
+from hhfrac import cli
+from hhfrac.certify import theorem5_bound
+from hhfrac.fracquad import FracOrder, Rectangle
+from hhfrac.funcspace import parse_function_spec
+from hhfrac.hweights import HWeight, check_coordinate_h_convex
+unit = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+cert = check_coordinate_h_convex(parse_function_spec("x*y - 0.3*(x - 0.5)^2"),
+                                 HWeight.identity(), unit, grid=9)
+assert cert.verdict == "fail"
+theorem5_bound(parse_function_spec("exp(x+y)*sin(x*y)"), HWeight.identity(),
+               FracOrder(0.5, 0.5), unit)
+rect = ["--rect", "0", "1", "0", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["sweep", "--theorem", "lemma1", "--f", "exp(x+y)*sin(x*y)", *rect,
+                     "--beta", "0.5", "--axis", "alpha=0.5,1.5", "--jobs", "2"]) == 0
+    assert cli.main(["check-hconvex", "--f", "x*y - 0.3*(x - 0.5)^2", "--h", "identity",
+                     *rect, "--grid", "5"]) == 1
+    assert cli.main(["frac-integrate", "--f1", "t^2", "--alpha", "0.5", "--side", "left",
+                     "--interval", "0", "1", "--at", "1"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        assert _run_probe(probe) == "False"
+
+
+def _run_probe(probe: str) -> str:
+    """What ``probe`` prints, run in a fresh interpreter on this source tree."""
+    src = str(Path(funcspace.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return out.stdout.strip()
 
 
 class TestNodeCap:
